@@ -7,130 +7,22 @@ of a modified position-momentum commutator and the phenomenology it implies
 (minimal length or maximal momentum).
 """
 
-from .entropy import (
-    ProbVector,
-    log_minus,
-    log_plus,
-    renyi,
-    s_minus,
-    s_minus_equiprob_expansion,
-    s_plus,
-    s_plus_equiprob_expansion,
-    shannon,
-    tsallis,
-)
+from . import entropy, gup, maxent, series, superstats
+from .entropy import *
 from .errors import NumericalError
-from .gup import (
-    QEXP_PIPELINE_RATIO,
-    REFERENCE_MINUS,
-    REFERENCE_PLUS,
-    GupParams,
-    PipelineReport,
-    RegimeSummary,
-    commutator_rhs,
-    deformation_closed,
-    deformation_pipeline,
-    effective_hamiltonian_series,
-    effective_momentum_series,
-    k_of_p,
-    normalize_momentum,
-    p_of_k,
-    regime_summary,
-    tsallis_coeffs,
-    uncertainty_lower_bound,
-)
-from .maxent import (
-    DEFAULT_FIT_GRID,
-    AnsatzCoeffs,
-    GenExpFit,
-    MaxEntSolution,
-    fit_gen_exp,
-    gen_exp_eval,
-    load_coeffs,
-    maxent_distribution,
-    save_coeffs,
-    solve_p_minus,
-    solve_p_plus,
-)
-from .series import (
-    DEFAULT_ORDER,
-    TruncatedSeries,
-    arctan_series,
-    compose,
-    exp_series,
-    ln_one_plus,
-    mul,
-    sqrt_series,
-    tan_series,
-)
-from .superstats import (
-    GammaBetaParams,
-    boltzmann_closed,
-    boltzmann_quadrature,
-    boltzmann_series,
-    gamma_pdf,
-)
+from .gup import *
+from .maxent import *
+from .series import *
+from .superstats import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "NumericalError",
-    # series
-    "DEFAULT_ORDER",
-    "TruncatedSeries",
-    "mul",
-    "compose",
-    "ln_one_plus",
-    "exp_series",
-    "sqrt_series",
-    "tan_series",
-    "arctan_series",
-    # superstatistics
-    "GammaBetaParams",
-    "gamma_pdf",
-    "boltzmann_closed",
-    "boltzmann_quadrature",
-    "boltzmann_series",
-    # entropies
-    "ProbVector",
-    "shannon",
-    "s_plus",
-    "s_minus",
-    "log_plus",
-    "log_minus",
-    "tsallis",
-    "renyi",
-    "s_plus_equiprob_expansion",
-    "s_minus_equiprob_expansion",
-    # maximum entropy
-    "MaxEntSolution",
-    "AnsatzCoeffs",
-    "GenExpFit",
-    "solve_p_plus",
-    "solve_p_minus",
-    "gen_exp_eval",
-    "fit_gen_exp",
-    "maxent_distribution",
-    "save_coeffs",
-    "load_coeffs",
-    "DEFAULT_FIT_GRID",
-    # deformation
-    "REFERENCE_PLUS",
-    "REFERENCE_MINUS",
-    "QEXP_PIPELINE_RATIO",
-    "GupParams",
-    "RegimeSummary",
-    "PipelineReport",
-    "effective_hamiltonian_series",
-    "effective_momentum_series",
-    "normalize_momentum",
-    "deformation_closed",
-    "deformation_pipeline",
-    "tsallis_coeffs",
-    "p_of_k",
-    "k_of_p",
-    "commutator_rhs",
-    "uncertainty_lower_bound",
-    "regime_summary",
+    *series.__all__,
+    *superstats.__all__,
+    *entropy.__all__,
+    *maxent.__all__,
+    *gup.__all__,
 ]

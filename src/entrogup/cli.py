@@ -45,12 +45,11 @@ from .gup import (
 )
 from .maxent import (
     DEFAULT_FIT_GRID,
+    _roots,
     fit_gen_exp,
     load_coeffs,
     maxent_distribution,
     save_coeffs,
-    solve_p_minus,
-    solve_p_plus,
 )
 from .superstats import (
     GammaBetaParams,
@@ -323,14 +322,18 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
         return report, 0
 
     xs = _grid_or(args, "0:3:31")
-    rows = []
-    for x in xs:
-        x = float(x)
-        plus = solve_p_plus(x, tol=tol)
-        minus = solve_p_minus(x, tol=tol)
-        rows.append(
-            [x, plus.p, plus.residual, minus.p, minus.residual, math.exp(-x)]
+    plus, residual_plus = _roots(xs, 1, tol)
+    minus, residual_minus = _roots(xs, -1, tol)
+    rows = [
+        [x, p_plus, res_plus, p_minus, res_minus, math.exp(-x)]
+        for x, p_plus, res_plus, p_minus, res_minus in zip(
+            xs.tolist(),
+            plus.tolist(),
+            residual_plus.tolist(),
+            minus.tolist(),
+            residual_minus.tolist(),
         )
+    ]
     report.set_table(
         ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"],
         rows,
@@ -455,99 +458,58 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
 # parser
 
 
+# Every flag of the CLI; each subcommand takes ``--format`` and the flags its
+# handler reads.
+_FLAGS: dict[str, dict[str, object]] = {
+    "--format": dict(
+        choices=("text", "csv", "json"), default="text", help="output format (default: text)"
+    ),
+    "--tol": dict(type=float, default=None, help="numerical tolerance"),
+    "--order": dict(type=int, default=None, help="series order / fit degree"),
+    "--grid": dict(default=None, help="evaluation grid 'start:stop:count'"),
+    "--coeffs": dict(default=None, help="coefficient file (fit output, derive input)"),
+    "--kind": dict(
+        choices=("plus", "minus", "tsallis"),
+        default="plus",
+        help="which statistics to use (default: plus)",
+    ),
+    "--q": dict(type=float, default=None, help="entropic index for q-statistics"),
+    "--alpha0": dict(type=float, default=None, help="dimensionless deformation parameter"),
+    "--mpl": dict(type=float, default=1.0, help="scale dividing alpha0 (default: 1)"),
+    "--p": dict(default="0.2", help="comma-separated variance parameters (default: 0.2)"),
+    "--omega": dict(type=int, default=4, help="equiprobable outcome count (default: 4)"),
+    "--probs": dict(default=None, help="comma-separated probabilities (overrides --omega)"),
+    "--energies": dict(default=None, help="comma-separated level energies"),
+    "--beta": dict(type=float, default=1.0, help="inverse temperature (default: 1)"),
+}
+
+_COMMANDS = (
+    ("boltzmann", _cmd_boltzmann, ("--p", "--grid", "--tol", "--order"),
+     "compare closed-form, quadrature, and expansion Boltzmann factors"),
+    ("entropy", _cmd_entropy, ("--omega", "--probs", "--q"),
+     "entropy family of a distribution"),
+    ("maxent", _cmd_maxent, ("--energies", "--beta", "--kind", "--grid", "--tol"),
+     "implicit maximum-entropy solutions or a discrete distribution"),
+    ("fit", _cmd_fit, ("--kind", "--order", "--grid", "--tol", "--coeffs"),
+     "fit generalized-exponential coefficients to the implicit solution"),
+    ("derive", _cmd_derive, ("--coeffs", "--kind", "--q", "--order", "--mpl"),
+     "deformation parameter from coefficients (file, --q, or built-in)"),
+    ("gup", _cmd_gup, ("--alpha0", "--mpl", "--grid"),
+     "evaluate the deformed uncertainty relation"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrogup",
         description="Entropy-driven momentum-space deformation toolkit.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    shared.add_argument("--tol", type=float, default=None, help="numerical tolerance")
-    shared.add_argument(
-        "--order", type=int, default=None, help="series order / fit degree"
-    )
-    shared.add_argument(
-        "--grid", default=None, help="evaluation grid 'start:stop:count'"
-    )
-    shared.add_argument(
-        "--coeffs", default=None, help="coefficient file (fit output, derive input)"
-    )
-    shared.add_argument(
-        "--kind",
-        choices=("plus", "minus", "tsallis"),
-        default="plus",
-        help="which statistics to use (default: plus)",
-    )
-    shared.add_argument(
-        "--q", type=float, default=None, help="entropic index for q-statistics"
-    )
-    shared.add_argument(
-        "--alpha0", type=float, default=None, help="dimensionless deformation parameter"
-    )
-    shared.add_argument(
-        "--mpl", type=float, default=1.0, help="scale dividing alpha0 (default: 1)"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_boltz = sub.add_parser(
-        "boltzmann",
-        parents=[shared],
-        help="compare closed-form, quadrature, and expansion Boltzmann factors",
-    )
-    p_boltz.add_argument(
-        "--p", default="0.2", help="comma-separated variance parameters (default: 0.2)"
-    )
-    p_boltz.set_defaults(handler=_cmd_boltzmann)
-
-    p_entropy = sub.add_parser(
-        "entropy", parents=[shared], help="entropy family of a distribution"
-    )
-    p_entropy.add_argument(
-        "--omega", type=int, default=4, help="equiprobable outcome count (default: 4)"
-    )
-    p_entropy.add_argument(
-        "--probs", default=None, help="comma-separated probabilities (overrides --omega)"
-    )
-    p_entropy.set_defaults(handler=_cmd_entropy)
-
-    p_maxent = sub.add_parser(
-        "maxent",
-        parents=[shared],
-        help="implicit maximum-entropy solutions or a discrete distribution",
-    )
-    p_maxent.add_argument(
-        "--energies", default=None, help="comma-separated level energies"
-    )
-    p_maxent.add_argument(
-        "--beta", type=float, default=1.0, help="inverse temperature (default: 1)"
-    )
-    p_maxent.set_defaults(handler=_cmd_maxent)
-
-    p_fit = sub.add_parser(
-        "fit",
-        parents=[shared],
-        help="fit generalized-exponential coefficients to the implicit solution",
-    )
-    p_fit.set_defaults(handler=_cmd_fit)
-
-    p_derive = sub.add_parser(
-        "derive",
-        parents=[shared],
-        help="deformation parameter from coefficients (file, --q, or built-in)",
-    )
-    p_derive.set_defaults(handler=_cmd_derive)
-
-    p_gup = sub.add_parser(
-        "gup", parents=[shared], help="evaluate the deformed uncertainty relation"
-    )
-    p_gup.set_defaults(handler=_cmd_gup)
-
+    for name, handler, flags, help_text in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag in ("--format", *flags):
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -7,10 +7,12 @@ implicit equation linking a state's probability ``p`` to ``x = beta * E``:
 * plus kind:  ``1 + ln p + x (1 + p + p ln p) - p**(-p) = 0``
 * minus kind: ``1 + ln p + x (1 - p - p ln p) - p**p    = 0``
 
-Both reduce to the Gibbs weight ``p = exp(-x)`` as dominant behavior.  The
-solutions can be compressed into a generalized exponential
-``exp(-x) * sum_j a_j x**j`` with ``a_0 = 1``; :func:`fit_gen_exp` performs
-that least-squares compression over an ``x`` grid.
+Both reduce to the Gibbs weight ``p = exp(-x)`` as dominant behavior.  One
+array solver finds the roots of both, in ``u = -ln p`` (see :func:`_roots`):
+every finite ``x >= 0`` has a root, and ``p = exp(-u)`` stays representable up
+to ``x`` of about 745.  The solutions can be compressed into a generalized
+exponential ``exp(-x) * sum_j a_j x**j`` with ``a_0 = 1``; :func:`fit_gen_exp`
+performs that least-squares compression over an ``x`` grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,8 +42,8 @@ __all__ = [
     "DEFAULT_FIT_GRID",
 ]
 
-_BRACKET_LO = 1e-16
 _KINDS = ("plus", "minus", "tsallis", "custom")
+_SIGN = {"plus": 1, "minus": -1}
 
 
 @dataclass(frozen=True)
@@ -91,103 +93,93 @@ class GenExpFit:
     grid: str
 
 
-def _g_plus(p: float, x: float) -> float:
-    lp = math.log(p)
-    return 1.0 + lp + x * (1.0 + p + p * lp) - math.exp(-p * lp)
+def _g(u: np.ndarray, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit equation of kind ``s`` in ``u = -ln p``, and its ``u``-derivative.
+
+    ``g = 1 - u + x (1 + s (p - p u)) - exp(s p u)`` is the equation of the
+    module docstring with ``ln p = -u``.  It is written with ``expm1`` so that
+    the interior minus root keeps its digits where ``p`` is close to 1.
+    """
+    p = np.exp(-u)
+    pu = p * u
+    one_sp = 1.0 + p if s > 0 else -np.expm1(-u)
+    g = -np.expm1(s * pu) - u + x * (one_sp - s * pu)
+    dg = -s * np.exp(s * pu) * (p - pu) - 1.0 - s * x * (2.0 * p - pu)
+    return g, dg
 
 
-def _dg_plus(p: float, x: float) -> float:
-    lp = math.log(p)
-    return 1.0 / p + x * (2.0 + lp) + math.exp(-p * lp) * (lp + 1.0)
+def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
+    every ``x``, with their residuals ``|g|``.
 
-
-def _g_minus(p: float, x: float) -> float:
-    lp = math.log(p)
-    return 1.0 + lp + x * (1.0 - p - p * lp) - math.exp(p * lp)
-
-
-def _dg_minus(p: float, x: float) -> float:
-    lp = math.log(p)
-    return 1.0 / p - x * (2.0 + lp) - math.exp(p * lp) * (lp + 1.0)
-
-
-def _bracketed_root(
-    g: Callable[[float, float], float],
-    dg: Callable[[float, float], float],
-    x: float,
-    tol: float,
-    hi: float,
-) -> tuple[float, float]:
-    """Bisection on (1e-16, hi] refined with bracket-safeguarded Newton steps."""
-    lo = _BRACKET_LO
-    glo = g(lo, x)
-    ghi = g(hi, x)
-    if abs(ghi) <= tol:
-        return hi, abs(ghi)
-    if abs(glo) <= tol:
-        return lo, abs(glo)
-    if (glo < 0.0) == (ghi < 0.0):
-        raise NumericalError(
-            f"no sign change on the bracket ({lo:g}, {hi:g}): "
-            f"g(lo) = {glo:g}, g(hi) = {ghi:g}"
-        )
-    p = 0.5 * (lo + hi)
-    for _ in range(200):
-        gp = g(p, x)
-        if abs(gp) <= tol:
-            return p, abs(gp)
-        if (gp < 0.0) == (glo < 0.0):
-            lo, glo = p, gp
-        else:
-            hi, ghi = p, gp
-        if hi - lo <= 1e-16 * hi:
-            best, gbest = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
-            if abs(gbest) <= tol:
-                return best, abs(gbest)
-            raise NumericalError(
-                f"bracket exhausted at p = {best:.17g} with residual {abs(gbest):g} "
-                f"above the tolerance {tol:g}"
-            )
-        d = dg(p, x)
-        p_next = p - gp / d if d != 0.0 and math.isfinite(d) else lo
-        if not (lo < p_next < hi):
-            p_next = 0.5 * (lo + hi)
-        p = p_next
-    raise NumericalError(f"root refinement did not converge at x = {x:g}")
-
-
-def _check_solver_args(x: float, tol: float) -> None:
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x = beta*E must be non-negative, got {x!r}")
+    Newton's method in ``u = -ln p``, safeguarded by bisection on the bracket
+    ``[0, 2x + 2]`` (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes
+    sign from positive to negative.  The minus lower end excludes the root
+    ``p = 1`` that the minus equation has at every ``x``.  Iteration stops
+    when the step or the bracket is below a few ulps of ``max(u, 1)``, not on
+    the residual: near ``p = 1`` a whole range of ``p`` has a residual below
+    any useful tolerance.
+    """
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if bad.any():
+        raise ValueError(f"x = beta*E must be non-negative, got {float(x[bad][0])!r}")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    lo = 0.5 * x if s < 0 else np.zeros_like(x)
+    hi = 2.0 * x + 2.0
+    u = x.copy()
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        g, dg = _g(u, x, s)
+        lo = np.where(g > 0.0, u, lo)
+        hi = np.where(g < 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g == 0.0, 0.0, g / dg)
+        ulps = 4.0 * np.finfo(float).eps * np.maximum(u, 1.0)
+        small = np.abs(step) <= ulps
+        done = small | (hi - lo <= ulps)
+        newton = u - step
+        take_newton = small | ((lo < newton) & (newton < hi))
+        u = np.where(active, np.where(take_newton, newton, 0.5 * (lo + hi)), u)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise NumericalError(f"root refinement did not converge at x = {float(x[active][0]):g}")
+    residual = np.abs(_g(u, x, s)[0])
+    worst = int(np.argmax(residual))
+    if residual[worst] > tol:
+        raise NumericalError(
+            f"root at x = {x[worst]:g} has residual {residual[worst]:g} "
+            f"above the tolerance {tol:g}"
+        )
+    return np.exp(-u), residual
+
+
+def _solution(x: float, s: int, tol: float) -> MaxEntSolution:
+    p, residual = _roots([x], s, tol)
+    return MaxEntSolution(x, float(p[0]), float(residual[0]))
 
 
 def solve_p_plus(x: float, tol: float = 1e-12) -> MaxEntSolution:
     """Probability solving the plus-kind implicit equation at ``x = beta*E``.
 
-    The root is bracketed in (1e-16, 1]; at ``x = 0`` it sits exactly at 1.
+    Any finite ``x >= 0`` has a root; at ``x = 0`` it sits exactly at 1.
+    ``p`` underflows to 0 beyond ``x`` of about 745.
     """
-    _check_solver_args(x, tol)
-    if x == 0.0:
-        return MaxEntSolution(0.0, 1.0, abs(_g_plus(1.0, 0.0)))
-    p, res = _bracketed_root(_g_plus, _dg_plus, x, tol, 1.0)
-    return MaxEntSolution(x, p, res)
+    return _solution(x, 1, tol)
 
 
 def solve_p_minus(x: float, tol: float = 1e-12) -> MaxEntSolution:
     """Probability solving the minus-kind implicit equation at ``x = beta*E``.
 
-    ``p = 1`` satisfies the minus equation identically for every ``x``, so the
-    upper bracket end is pulled just below 1 to exclude that boundary root and
-    return the interior branch that is continuous with the Gibbs limit.
+    ``p = 1`` satisfies the minus equation identically for every ``x``; the
+    solver excludes that boundary root and returns the interior branch that
+    is continuous with the Gibbs limit, ``p e**x = 1 - x/3 + ...`` at small
+    ``x``.  The range is that of :func:`solve_p_plus`.
     """
-    _check_solver_args(x, tol)
-    if x == 0.0:
-        return MaxEntSolution(0.0, 1.0, abs(_g_minus(1.0, 0.0)))
-    hi = 1.0 - 0.5 * min(x, 1e-4)
-    p, res = _bracketed_root(_g_minus, _dg_minus, x, tol, hi)
-    return MaxEntSolution(x, p, res)
+    return _solution(x, -1, tol)
 
 
 def gen_exp_eval(coeffs: AnsatzCoeffs, x: float) -> float:
@@ -253,8 +245,7 @@ def fit_gen_exp(
     if np.unique(xs).size < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
 
-    solve = solve_p_plus if kind == "plus" else solve_p_minus
-    probs = np.array([solve(float(x), tol).p for x in xs])
+    probs, _ = _roots(xs, _SIGN[kind], tol)
     weight = np.exp(-xs)
     design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
     rhs = probs - weight
@@ -292,8 +283,7 @@ def maxent_distribution(
     if kind == "boltzmann":
         weights = [math.exp(-beta * e) for e in levels]
     else:
-        solve = solve_p_plus if kind == "plus" else solve_p_minus
-        weights = [solve(beta * e, tol).p for e in levels]
+        weights, _ = _roots(beta * np.array(levels), _SIGN[kind], tol)
     total = math.fsum(weights)
     return ProbVector(tuple(w / total for w in weights))
 

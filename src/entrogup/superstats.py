@@ -143,7 +143,8 @@ def boltzmann_quadrature(
 def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> float:
     """Small-spread expansion of the averaged weight factor.
 
-    ``exp(-beta0*E) * [1 + p*(beta0*E)**2/2 - p**2*(beta0*E)**3/3 + ...]``
+    ``exp(-beta0*E) * [1 + p*(beta0*E)**2/2 - p**2*(beta0*E)**3/3
+    + p**2*(beta0*E)**4/8 + ...]``
     truncated at the requested order in ``p`` (0, 1, or 2).  Useful for
     ``p * (beta0*E)**2`` well below one.
     """
@@ -156,5 +157,5 @@ def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> 
     if order >= 1:
         correction += 0.5 * params.p * x * x
     if order >= 2:
-        correction -= params.p * params.p * x * x * x / 3.0
+        correction += params.p * params.p * x**3 * (x / 8.0 - 1.0 / 3.0)
     return math.exp(-x) * correction

@@ -66,6 +66,12 @@ def test_maxent_solver_table(capsys):
     assert "p_plus" in out and "p_minus" in out and "boltzmann" in out
 
 
+def test_maxent_large_energy_level(capsys):
+    code, out, _ = run(capsys, "maxent", "--energies", "0,50")
+    assert code == 0
+    assert "1.92874985e-22" in out
+
+
 def test_maxent_distribution_mode(capsys):
     code, out, _ = run(capsys, "maxent", "--energies", "0,1,2", "--beta", "0.5",
                        "--kind", "minus", "--format", "json")
@@ -213,6 +219,26 @@ def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "entropy", "--nope")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("boltzmann", "--q", "2"),
+        ("entropy", "--tol", "1e-3"),
+        ("maxent", "--coeffs", "c.txt"),
+        ("fit", "--mpl", "2"),
+        ("derive", "--grid", "0:1:3"),
+        ("gup", "--alpha0", "0.36", "--kind", "plus"),
+    ],
+)
+def test_foreign_flag_exits_2(argv, capsys, tmp_path, monkeypatch):
+    # each argv exits 0 without its last flag; the flag belongs to another command
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert out == ""
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run(capsys)[0] == 2
 
@@ -224,8 +250,8 @@ def test_out_of_domain_gup_grid_names_bound(capsys):
 
 
 def test_numerical_failures_exit_3(capsys):
-    # solver bracket floor: no admissible root at x = 40
-    code, _, err = run(capsys, "maxent", "--grid", "38:40:2")
+    # unreachable solver tolerance: some grid point keeps a rounding residual
+    code, _, err = run(capsys, "maxent", "--tol", "1e-30")
     assert code == 3
     assert "error:" in err
     # unreachable quadrature tolerance

@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entrogup.errors import NumericalError
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, tsallis_coeffs
@@ -34,12 +35,12 @@ def default_grid():
 # pure-bisection oracle, written against the raw implicit expressions
 
 
-def g_plus_raw(p, x):
-    return 1.0 + math.log(p) + x * (1.0 + p + p * math.log(p)) - p ** (-p)
+def g_plus_raw(p, x, log=math.log):
+    return 1.0 + log(p) + x * (1.0 + p + p * log(p)) - p ** (-p)
 
 
-def g_minus_raw(p, x):
-    return 1.0 + math.log(p) + x * (1.0 - p - p * math.log(p)) - p**p
+def g_minus_raw(p, x, log=math.log):
+    return 1.0 + log(p) + x * (1.0 - p - p * log(p)) - p**p
 
 
 def bisect_oracle(g, x, hi):
@@ -101,13 +102,33 @@ def test_strictly_decreasing_in_x():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_solver_failure_beyond_bracket_floor():
-    # beyond x ~ 37 the root would sit below the 1e-16 bracket floor
-    with pytest.raises(NumericalError):
-        solve_p_plus(40.0)
-    with pytest.raises(NumericalError):
-        solve_p_minus(40.0)
-    assert solve_p_plus(30.0).p > 0.0
+def mpmath_root(g, x):
+    # 50-digit Newton iteration from the Gibbs weight
+    with mpmath.workdps(50):
+        big_x = mpmath.mpf(x)
+        return mpmath.findroot(lambda p: g(p, big_x, mpmath.log), mpmath.exp(-big_x),
+                               solver="newton")
+
+
+def test_large_x_roots_match_mpmath():
+    # roots far below p = 1e-16
+    for x in (40.0, 60.0):
+        for solver, g in ((solve_p_plus, g_plus_raw), (solve_p_minus, g_minus_raw)):
+            reference = float(mpmath_root(g, x))
+            assert solver(x).p == pytest.approx(reference, rel=1e-12)
+
+
+def test_minus_small_x_interior_slope():
+    # p e**x = 1 - x/3 + ... on the interior branch; the bracket end
+    # a p within ~x of 1, such as 1 - x/2, gives +1/2
+    x = 1e-8
+    p = solve_p_minus(x).p
+    assert (p * math.exp(x) - 1.0) / x == pytest.approx(-1.0 / 3.0, abs=1e-3)
+
+
+def test_unreachable_tolerance_raises():
+    with pytest.raises(NumericalError, match="residual"):
+        fit_gen_exp("plus", 4, np.linspace(0.0, 3.0, 61), tol=1e-300)
 
 
 def test_solver_input_validation():
@@ -119,6 +140,8 @@ def test_solver_input_validation():
 
 
 @given(st.floats(min_value=0.0, max_value=25.0))
+@example(1e-300)
+@example(5e-324)
 @settings(max_examples=150, deadline=None)
 def test_solutions_are_probabilities(x):
     assert 0.0 < solve_p_plus(x).p <= 1.0

@@ -114,8 +114,9 @@ def test_series_orders():
         base * (1 + 0.005), rel=1e-15
     )
     closed = boltzmann_closed(params, x)
-    # order-2 expansion carries an O(p^2 x^4) truncation error
+    # order 2 is exact through p^2 (p^2 x^4 / 8 included), so its error is O(p^3)
     assert abs(boltzmann_series(params, x, order=2) - closed) < 5e-6
+    assert abs(boltzmann_series(params, x, order=2) - closed) < 5e-8
     with pytest.raises(ValueError):
         boltzmann_series(params, x, order=3)
 
