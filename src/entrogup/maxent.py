@@ -123,11 +123,16 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
-        raise ValueError(f"x = beta*E must be non-negative, got {float(x[bad][0])!r}")
+        raise ValueError(
+            f"x = beta*E must be finite and non-negative, got {float(x[bad][0])!r}"
+        )
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     lo = 0.5 * x if s < 0 else np.zeros_like(x)
-    hi = 2.0 * x + 2.0
+    with np.errstate(over="ignore"):
+        # capped where 2x + 2 overflows (g is negative at the cap too); the
+        # bisection midpoint below halves lo and hi before adding them
+        hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
     u = x.copy()
     active = np.ones(x.shape, dtype=bool)
     for _ in range(200):
@@ -141,7 +146,7 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         done = small | (hi - lo <= ulps)
         newton = u - step
         take_newton = small | ((lo < newton) & (newton < hi))
-        u = np.where(active, np.where(take_newton, newton, 0.5 * (lo + hi)), u)
+        u = np.where(active, np.where(take_newton, newton, 0.5 * lo + 0.5 * hi), u)
         active &= ~done
         if not active.any():
             break
@@ -270,6 +275,12 @@ def maxent_distribution(
     ``kind`` is ``"plus"``, ``"minus"``, or ``"boltzmann"``; the deformed kinds
     solve their implicit equation at each ``x = beta * E_l`` and renormalize.
     ``beta = 0`` yields the uniform distribution for every kind.
+
+    Raises
+    ------
+    NumericalError
+        If a level's probability underflows to 0, as ``exp(-x)`` does past
+        ``x`` of about 745.
     """
     if kind not in ("plus", "minus", "boltzmann"):
         raise ValueError(f"kind must be plus, minus, or boltzmann, got {kind!r}")
@@ -283,9 +294,19 @@ def maxent_distribution(
     if kind == "boltzmann":
         weights = [math.exp(-beta * e) for e in levels]
     else:
-        weights, _ = _roots(beta * np.array(levels), _SIGN[kind], tol)
+        with np.errstate(over="ignore"):
+            xs = beta * np.array(levels)
+        weights = _roots(xs, _SIGN[kind], tol)[0].tolist()
     total = math.fsum(weights)
-    return ProbVector(tuple(w / total for w in weights))
+    # a total of 0 means every weight underflowed
+    probs = [w / total for w in weights] if total > 0.0 else weights
+    if 0.0 in probs:
+        level = probs.index(0.0)
+        raise NumericalError(
+            f"the probability of level {level} (x = beta*E = {beta * levels[level]:g}) "
+            "underflows to 0 in double precision"
+        )
+    return ProbVector(tuple(probs))
 
 
 _KIND_RE = re.compile(r"^tsallis\((?P<q>[^)]+)\)$")

@@ -5,14 +5,16 @@ a single spread parameter ``p``; averaging the ordinary exponential weight over
 that spread turns it into a power law.  The module exposes the density, the
 averaged weight factor in closed form, the same average by adaptive quadrature
 (an independent cross-check route), and its small-spread expansion.
+
+Only the quadrature route uses scipy, and ``scipy.integrate`` is imported on
+its first call, so importing the package (and every CLI command except
+``boltzmann``) does not pay scipy's start-up cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import NumericalError
 
@@ -79,6 +81,17 @@ def boltzmann_closed(params: GammaBetaParams, energy: float) -> float:
     if not (math.isfinite(energy) and energy >= 0.0):
         raise ValueError(f"energy must be non-negative, got {energy!r}")
     return math.exp(-math.log1p(params.p * params.beta0 * energy) / params.p)
+
+
+def quad(func, a: float, b: float, **kwargs):
+    """``scipy.integrate.quad``, with scipy imported on the first call.
+
+    ``boltzmann_quadrature`` looks it up as a module global, so a wrapper
+    patched in here sees every integrator call.
+    """
+    import scipy.integrate
+
+    return scipy.integrate.quad(func, a, b, **kwargs)
 
 
 def boltzmann_quadrature(

@@ -258,6 +258,23 @@ def test_numerical_failures_exit_3(capsys):
     assert run(capsys, "boltzmann", "--tol", "1e-16")[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("maxent", "--energies", "0,800"), 3),
+        (("maxent", "--energies", "800,801"), 3),
+        (("maxent", "--energies", "0,1", "--beta", "1e308"), 3),
+        (("maxent", "--energies", "1e308,1e308", "--beta", "10"), 2),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
+def test_unrepresentable_levels_fail_without_warnings(argv, exit_code, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_coeffs_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("kind = plus\ndegree = 0\na0 = 1.0\nextra = 1\n", encoding="utf-8")

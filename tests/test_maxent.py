@@ -277,6 +277,26 @@ def test_distribution_validation():
         maxent_distribution([float("inf")], 1.0, "plus")
 
 
+@pytest.mark.parametrize("kind", ["plus", "minus", "boltzmann"])
+@pytest.mark.parametrize("energies", [[0.0, 800.0], [800.0, 801.0]])
+def test_distribution_underflow_raises_numerical_error(kind, energies):
+    # exp(-x) underflows past x ~ 745: a representability limit, not bad input
+    with pytest.raises(NumericalError, match=r"level \d+ .*x = beta\*E = 80[01]"):
+        maxent_distribution(energies, 1.0, kind)
+
+
+def test_distribution_overflowing_x_is_invalid_input():
+    with pytest.raises(ValueError, match="finite and non-negative, got inf"):
+        maxent_distribution([1e308, 1e308], 10.0, "plus")
+
+
+def test_solver_at_largest_finite_x():
+    # 2x + 2 overflows here; p underflows to 0 with the residual still small
+    for solver in (solve_p_plus, solve_p_minus):
+        solution = solver(1e308)
+        assert solution.p == 0.0 and solution.residual <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # coefficient file IO
 
