@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericalError
@@ -64,6 +65,10 @@ REFERENCE_MINUS = AnsatzCoeffs(
 # itself.  Both are reported; this is their fixed ratio.
 QEXP_PIPELINE_RATIO = 3.0 / 8.0
 
+# m_pl is kept where m_pl**2 is a normal float, so alpha0 / m_pl**2 neither
+# divides by 0 nor loses digits to a subnormal divisor.
+_M_PL_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
 # Below this |alpha| the tan/tanh expressions lose digits to cancellation and
 # the cubic expansion of p(k), k(p) is exact to double precision.
 _SMALL_ALPHA = 1e-12
@@ -79,8 +84,12 @@ class GupParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha0):
             raise ValueError(f"alpha0 must be finite, got {self.alpha0!r}")
-        if not (math.isfinite(self.m_pl) and self.m_pl > 0.0):
-            raise ValueError(f"m_pl must be positive, got {self.m_pl!r}")
+        lo, hi = _M_PL_RANGE
+        if not lo <= self.m_pl <= hi:
+            raise ValueError(
+                f"m_pl must lie in [{lo:.4g}, {hi:.4g}], where m_pl**2 is a normal "
+                f"float, got {self.m_pl!r}"
+            )
 
     @property
     def alpha(self) -> float:

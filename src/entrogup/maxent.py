@@ -252,7 +252,13 @@ def fit_gen_exp(
 
     probs, _ = _roots(xs, _SIGN[kind], tol)
     weight = np.exp(-xs)
-    design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
+    if not np.all(np.isfinite(design)):
+        raise ValueError(
+            f"the grid window is too wide for degree {degree}: x**{degree} * exp(-x) "
+            f"is not finite at x = {xs.max():g}"
+        )
     rhs = probs - weight
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < degree:
@@ -280,7 +286,7 @@ def maxent_distribution(
     ------
     NumericalError
         If a level's probability underflows to 0, as ``exp(-x)`` does past
-        ``x`` of about 745.
+        ``x`` of about 745 (for ``"boltzmann"``, ``x = beta * (E_l - E_min)``).
     """
     if kind not in ("plus", "minus", "boltzmann"):
         raise ValueError(f"kind must be plus, minus, or boltzmann, got {kind!r}")
@@ -289,22 +295,28 @@ def maxent_distribution(
     levels = [float(e) for e in energies]
     if not levels:
         raise ValueError("need at least one energy level")
-    if not all(math.isfinite(e) for e in levels):
+    if not all(map(math.isfinite, levels)):
         raise ValueError("energies must be finite")
     if kind == "boltzmann":
-        weights = [math.exp(-beta * e) for e in levels]
+        # Measured from the lowest level, so no weight overflows; normalising
+        # removes the common factor exp(-beta * E_min).  At beta = 0 every
+        # weight is 1 anyway, and E - E_min may overflow to inf (0 * inf = nan).
+        e_min = min(levels) if beta else 0.0
+        weights = [math.exp(-beta * (e - e_min)) for e in levels]
     else:
         with np.errstate(over="ignore"):
             xs = beta * np.array(levels)
         weights = _roots(xs, _SIGN[kind], tol)[0].tolist()
     total = math.fsum(weights)
-    # a total of 0 means every weight underflowed
+    # a total of 0 means every weight underflowed (never for boltzmann)
     probs = [w / total for w in weights] if total > 0.0 else weights
     if 0.0 in probs:
         level = probs.index(0.0)
+        where = f"x = beta*E = {beta * levels[level]:g}"
+        if kind == "boltzmann":
+            where += f", beta*(E - E_min) = {beta * (levels[level] - e_min):g}"
         raise NumericalError(
-            f"the probability of level {level} (x = beta*E = {beta * levels[level]:g}) "
-            "underflows to 0 in double precision"
+            f"the probability of level {level} ({where}) underflows to 0 in double precision"
         )
     return ProbVector(tuple(probs))
 

@@ -213,6 +213,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "entropy", "--probs", "0.5,0.6")[0] == 2
     assert run(capsys, "maxent", "--energies", "1,2", "--kind", "tsallis")[0] == 2
     assert run(capsys, "derive", "--coeffs", "/nonexistent/c.txt")[0] == 2
+    assert run(capsys, "derive", "--mpl", "1e-170")[0] == 2  # m_pl**2 underflows
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -273,6 +274,20 @@ def test_unrepresentable_levels_fail_without_warnings(argv, exit_code, capsys):
     assert code == exit_code
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_fit_window_too_wide_for_degree_exits_2_quietly(tmp_path):
+    # x**4 overflows on this grid; numpy and LAPACK would write to stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "entrogup", "fit", "--grid", "0:1e308:5",
+         "--coeffs", str(tmp_path / "c.txt")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "too wide for degree 4" in proc.stderr
+    assert "Warning" not in proc.stderr and "DLASCL" not in proc.stderr + proc.stdout
 
 
 def test_bad_coeffs_file_exits_2(tmp_path, capsys):

@@ -195,6 +195,12 @@ def test_params_and_alpha_scaling():
         GupParams(float("inf"))
     with pytest.raises(ValueError):
         GupParams(0.3, m_pl=0.0)
+    # m_pl**2 underflows to 0 / overflows; the ends of the range still work
+    for m_pl in (1e-170, 1e155):
+        with pytest.raises(ValueError, match=r"m_pl must lie in \[1\.492e-154, 1\.341e\+154\]"):
+            GupParams(0.36, m_pl=m_pl)
+    for m_pl in (1.5e-154, 1.3e154):
+        assert 0.0 < GupParams(0.36, m_pl=m_pl).alpha < math.inf
 
 
 def test_p_of_k_frozen_value():

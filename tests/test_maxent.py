@@ -255,6 +255,8 @@ def test_distribution_zero_beta_is_uniform():
     for kind in ("plus", "minus", "boltzmann"):
         dist = maxent_distribution([0.3, 1.7, 4.0], 0.0, kind)
         assert all(p == pytest.approx(1.0 / 3.0, rel=1e-12) for p in dist.probs)
+    # E - E_min overflows here
+    assert maxent_distribution([-1e308, 1e308], 0.0, "boltzmann").probs == (0.5, 0.5)
 
 
 def test_distribution_near_boltzmann_at_weak_coupling():
@@ -280,9 +282,29 @@ def test_distribution_validation():
 @pytest.mark.parametrize("kind", ["plus", "minus", "boltzmann"])
 @pytest.mark.parametrize("energies", [[0.0, 800.0], [800.0, 801.0]])
 def test_distribution_underflow_raises_numerical_error(kind, energies):
-    # exp(-x) underflows past x ~ 745: a representability limit, not bad input
+    # exp(-x) underflows past x ~ 745: a representability limit, not bad input.
+    # Boltzmann weights are measured from the lowest level, so for that kind
+    # only a gap past ~745 underflows: take each level's gap from 0.
+    if kind == "boltzmann":
+        energies = [0.0, energies[1]]
     with pytest.raises(NumericalError, match=r"level \d+ .*x = beta\*E = 80[01]"):
         maxent_distribution(energies, 1.0, kind)
+
+
+@pytest.mark.parametrize("energies", [[-1.0, 0.0], [800.0, 801.0], [-1.0, 0.0, 2.5]])
+def test_boltzmann_distribution_is_shift_invariant(energies):
+    # exp(-beta E) ratios; the weights no longer overflow below 0 or underflow
+    # for a spectrum that starts high
+    probs = maxent_distribution(energies, 1.0, "boltzmann").probs
+    assert math.fsum(probs) == pytest.approx(1.0, rel=1e-15)
+    for e, p in zip(energies[1:], probs[1:]):
+        assert p / probs[0] == pytest.approx(math.exp(energies[0] - e), rel=1e-15)
+
+
+def test_boltzmann_distribution_below_zero_underflows_as_numerical_error():
+    # was a bare OverflowError from exp(1000)
+    with pytest.raises(NumericalError, match=r"level 1 .*beta\*\(E - E_min\) = 1000"):
+        maxent_distribution([-1000.0, 0.0], 1.0, "boltzmann")
 
 
 def test_distribution_overflowing_x_is_invalid_input():

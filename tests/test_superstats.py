@@ -3,7 +3,8 @@
 The closed form, the quadrature, and the small-spread expansion are three
 independent routes to the same averaged weight factor; the tests pin each
 route against external oracles (scipy integrals, hand arithmetic) and then
-against each other.
+against each other.  scipy is a test-only dependency: the package's own
+quadrature is checked against ``scipy.integrate.quad``.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from entrogup import superstats
 from entrogup.errors import NumericalError
 from entrogup.series import TruncatedSeries, exp_series, ln_one_plus
 from entrogup.superstats import (
@@ -96,6 +98,62 @@ def test_quadrature_matches_closed_on_default_grid():
             quadval = boltzmann_quadrature(params, float(energy))
             worst = max(worst, abs(quadval - closed) / closed)
     assert worst <= 1e-7
+
+
+def test_gauss_kronrod_tables():
+    # the QUADPACK qk21 tables on [-1, 1]: each weight set sums to 2, Kronrod
+    # is exact through degree 31 and Gauss through 19; the same on [0, 1] in
+    # the form the integrator uses
+    kronrod = 2.0 * math.fsum(superstats._WGK[:-1]) + superstats._WGK[-1]
+    assert kronrod == pytest.approx(2.0, abs=1e-15)
+    assert 2.0 * math.fsum(superstats._WG) == pytest.approx(2.0, abs=1e-15)
+    unit = superstats._UNIT
+    gauss = superstats._RULES[:, 0] - superstats._RULES[:, 1] / 200.0
+    assert superstats._RULES[:, 0].sum() == pytest.approx(1.0, abs=1e-15)
+    assert gauss.sum() == pytest.approx(1.0, abs=1e-15)
+    for d in range(32):
+        exact = 1.0 / (d + 1)  # integral of t**d over [0, 1]
+        assert math.fsum(superstats._RULES[:, 0] * unit**d) == pytest.approx(exact, abs=1e-15)
+        if d <= 19:
+            assert math.fsum(gauss * unit**d) == pytest.approx(exact, abs=1e-15)
+    mean, _ = superstats._qk21(lambda t: t**31, np.array([0.0]), np.array([1.0]))
+    assert mean[0] == pytest.approx(1.0 / 32.0, abs=1e-15)
+
+
+def _scipy_boltzmann(p, energy):
+    """Oracle: the same t-integrand by scipy.integrate.quad, split at its mode."""
+    shape, c = 1.0 / p, 1.0 + p * energy
+    lgam = math.lgamma(shape)
+
+    def f(t):
+        if t <= 0.0:
+            return math.exp(-lgam) if shape == 1.0 else 0.0
+        return math.exp((shape - 1.0) * math.log(t) - c * t - lgam)
+
+    mode = (shape - 1.0) / c
+    cut = mode + 40.0 * (math.sqrt(shape) + 1.0) / c
+    body, _ = quad(f, 0.0, cut, points=[mode] if mode > 0.0 else None,
+                   epsabs=0.0, epsrel=1e-13, limit=500)
+    tail, _ = quad(f, cut, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    return body + tail
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("energy", [0.0, 0.5, 20.0, 1e3])
+@pytest.mark.parametrize("p", [0.001, 0.02, 0.9, 0.99, 1.0])
+def test_quadrature_matches_scipy_at_corners(p, energy, tol):
+    # p = 0.001: a narrow peak at t ~ 1/p; p near 1: t**(1/p - 1) is not
+    # smooth at 0; E = 1e3 at p = 0.001 puts the value near 1e-301
+    oracle = _scipy_boltzmann(p, energy)
+    assert oracle == pytest.approx(boltzmann_closed(GammaBetaParams(p, 1.0), energy), rel=1e-11)
+    value = boltzmann_quadrature(GammaBetaParams(p, 1.0), energy, tol=tol)
+    assert value == pytest.approx(oracle, rel=tol)
+
+
+def test_quad_stops_at_its_work_limits():
+    # 1/t is not integrable at 0: the estimate it returns admits a large error
+    value, abserr = superstats.quad(lambda t: 1.0 / t, 0.0, 1.0, 1e-10)
+    assert abserr > 1e-10 * abs(value)
 
 
 def test_quadrature_rejects_unreachable_tolerance():
