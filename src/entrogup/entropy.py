@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "ProbVector",
@@ -23,21 +25,34 @@ _SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A finite probability distribution with every entry in (0, 1]."""
+    """A finite probability distribution with every entry in (0, 1].
+
+    The entries are held as one read-only 1-D float64 array, which the
+    entropies below evaluate elementwise.  ``probs`` stays a tuple of floats,
+    so equality and hashing compare values.  The input may be a tuple, a list
+    or a 1-D array.
+    """
 
     probs: tuple[float, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        if not probs:
+        array = np.array(self.probs, dtype=float)
+        if array.ndim != 1:
+            raise ValueError(f"probabilities must form a 1-D sequence, got shape {array.shape}")
+        if not array.size:
             raise ValueError("a distribution needs at least one state")
-        for p in probs:
-            if not (math.isfinite(p) and 0.0 < p <= 1.0):
-                raise ValueError(f"probabilities must lie in (0, 1], got {p!r}")
+        # NaN fails both comparisons, inf the second
+        bad = np.flatnonzero(~((array > 0.0) & (array <= 1.0)))
+        if bad.size:
+            raise ValueError(f"probabilities must lie in (0, 1], got {float(array[bad[0]])!r}")
+        probs = array.tolist()
         total = math.fsum(probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        array.flags.writeable = False
+        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "_array", array)
 
     @classmethod
     def uniform(cls, omega: int) -> ProbVector:
@@ -57,18 +72,21 @@ class ProbVector:
 
 def shannon(dist: ProbVector) -> float:
     """Boltzmann-Gibbs entropy -sum(p ln p)."""
+    p = dist._array
     # + 0.0 folds the IEEE -0.0 of a delta distribution into +0.0
-    return -math.fsum(p * math.log(p) for p in dist.probs) + 0.0
+    return -math.fsum((p * np.log(p)).tolist()) + 0.0
 
 
 def s_plus(dist: ProbVector) -> float:
     """Non-extensive entropy sum(1 - p**p)."""
-    return math.fsum(1.0 - p**p for p in dist.probs)
+    p = dist._array
+    return math.fsum((1.0 - p**p).tolist())
 
 
 def s_minus(dist: ProbVector) -> float:
     """Non-extensive entropy sum(p**(-p) - 1)."""
-    return math.fsum(p ** (-p) - 1.0 for p in dist.probs)
+    p = dist._array
+    return math.fsum((p ** (-p) - 1.0).tolist())
 
 
 def log_plus(x: float) -> float:
@@ -95,13 +113,22 @@ def _check_q(q: float) -> float:
 def tsallis(dist: ProbVector, q: float) -> float:
     """Tsallis entropy (1 - sum(p**q)) / (q - 1)."""
     q = _check_q(q)
-    return (1.0 - math.fsum(p**q for p in dist.probs)) / (q - 1.0)
+    return (1.0 - math.fsum((dist._array**q).tolist())) / (q - 1.0)
 
 
 def renyi(dist: ProbVector, q: float) -> float:
-    """Renyi entropy ln(sum(p**q)) / (1 - q)."""
+    """Renyi entropy ln(sum(p**q)) / (1 - q).
+
+    Evaluated as ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``: the
+    largest term of the scaled sum is 1, so it cannot underflow at large q.
+    The first term is divided before it is added, so ``q ln p_max`` cannot
+    overflow either.
+    """
     q = _check_q(q)
-    return math.log(math.fsum(p**q for p in dist.probs)) / (1.0 - q) + 0.0
+    p = dist._array
+    p_max = float(p.max())
+    scaled = math.fsum(((p / p_max) ** q).tolist())
+    return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
 
 
 def _equiprob_expansion(omega: int, nterms: int, second_sign: float) -> float:

@@ -90,6 +90,11 @@ class GupParams:
                 f"m_pl must lie in [{lo:.4g}, {hi:.4g}], where m_pl**2 is a normal "
                 f"float, got {self.m_pl!r}"
             )
+        if not math.isfinite(self.alpha):
+            raise ValueError(
+                f"alpha = alpha0/m_pl**2 overflows for alpha0 = {self.alpha0!r}, "
+                f"m_pl = {self.m_pl!r}"
+            )
 
     @property
     def alpha(self) -> float:

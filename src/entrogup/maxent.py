@@ -292,33 +292,39 @@ def maxent_distribution(
         raise ValueError(f"kind must be plus, minus, or boltzmann, got {kind!r}")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be non-negative, got {beta!r}")
-    levels = [float(e) for e in energies]
-    if not levels:
+    levels = np.array(energies, dtype=float)
+    if levels.ndim != 1:
+        raise ValueError(f"energies must form a 1-D sequence, got shape {levels.shape}")
+    if not levels.size:
         raise ValueError("need at least one energy level")
-    if not all(map(math.isfinite, levels)):
+    if not np.isfinite(levels).all():
         raise ValueError("energies must be finite")
     if kind == "boltzmann":
         # Measured from the lowest level, so no weight overflows; normalising
         # removes the common factor exp(-beta * E_min).  At beta = 0 every
         # weight is 1 anyway, and E - E_min may overflow to inf (0 * inf = nan).
-        e_min = min(levels) if beta else 0.0
-        weights = [math.exp(-beta * (e - e_min)) for e in levels]
+        # For beta > 0 such an inf gives a zero weight, reported below.
+        e_min = float(levels.min()) if beta else 0.0
+        with np.errstate(over="ignore"):
+            weights = np.exp(-beta * (levels - e_min))
     else:
         with np.errstate(over="ignore"):
-            xs = beta * np.array(levels)
-        weights = _roots(xs, _SIGN[kind], tol)[0].tolist()
-    total = math.fsum(weights)
+            xs = beta * levels
+        weights = _roots(xs, _SIGN[kind], tol)[0]
+    total = math.fsum(weights.tolist())
     # a total of 0 means every weight underflowed (never for boltzmann)
-    probs = [w / total for w in weights] if total > 0.0 else weights
-    if 0.0 in probs:
-        level = probs.index(0.0)
-        where = f"x = beta*E = {beta * levels[level]:g}"
+    probs = weights / total if total > 0.0 else weights
+    zero = np.flatnonzero(probs == 0.0)
+    if zero.size:
+        level = int(zero[0])
+        energy = float(levels[level])
+        where = f"x = beta*E = {beta * energy:g}"
         if kind == "boltzmann":
-            where += f", beta*(E - E_min) = {beta * (levels[level] - e_min):g}"
+            where += f", beta*(E - E_min) = {beta * (energy - e_min):g}"
         raise NumericalError(
             f"the probability of level {level} ({where}) underflows to 0 in double precision"
         )
-    return ProbVector(tuple(probs))
+    return ProbVector(probs)
 
 
 _KIND_RE = re.compile(r"^tsallis\((?P<q>[^)]+)\)$")

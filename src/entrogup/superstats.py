@@ -235,12 +235,19 @@ def boltzmann_quadrature(
 
     # Past T >= 2(shape-1)/c the exponent decays at least like exp(-c t / 2),
     # so the dropped tail is bounded by integrand(T) * 2/c.
-    upper = max(2.0 * (shape - 1.0) / c, 1.0)
+    # Pieces [0, T], [T, 1.5 T], ... until the tail bound is met.  For tiny p,
+    # T runs past the largest float before that; such a limit is never integrated.
+    lower, upper = 0.0, max(2.0 * (shape - 1.0) / c, 1.0)
+    value = abserr = 0.0
     epsrel = max(min(tol / 4.0, 1e-2), 1e-13)
     # c*t past the largest float only occurs where the integrand is 0.
     with np.errstate(over="ignore"):
-        value, abserr = quad(integrand, 0.0, upper, epsrel)
-        for _ in range(64):
+        for _ in range(65):
+            if not math.isfinite(upper):
+                break
+            piece, piece_err = quad(integrand, lower, upper, epsrel)
+            value += piece
+            abserr += piece_err
             tail = float(integrand(upper)) * 2.0 / c
             if value > 0.0 and tail <= 0.1 * tol * value:
                 if abserr + tail > tol * value:
@@ -249,13 +256,10 @@ def boltzmann_quadrature(
                         f"above the requested tolerance {tol:.3e}"
                     )
                 return value
-            piece, piece_err = quad(integrand, upper, 1.5 * upper, epsrel)
-            value += piece
-            abserr += piece_err
-            upper *= 1.5
+            lower, upper = upper, 1.5 * upper
     raise NumericalError(
         "could not push the quadrature tail below the requested tolerance "
-        f"(last upper limit {upper:.3e})"
+        f"(last upper limit {lower:.3e})"
     )
 
 

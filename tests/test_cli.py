@@ -60,6 +60,13 @@ def test_entropy_explicit_probs(capsys):
     assert "omega" not in out  # partial sums only apply to the uniform mode
 
 
+def test_entropy_renyi_at_large_q(capsys):
+    # p**q underflows to 0 here; ln(sum(p**q)) was a math domain error
+    code, out, _ = run(capsys, "entropy", "--probs", "0.5,0.5", "--q", "2000")
+    assert code == 0
+    assert "renyi = 0.693147181" in out
+
+
 def test_maxent_solver_table(capsys):
     code, out, _ = run(capsys, "maxent", "--grid", "0:2:5")
     assert code == 0
@@ -250,6 +257,14 @@ def test_out_of_domain_gup_grid_names_bound(capsys):
     assert "pi/(2 sqrt(alpha))" in err
 
 
+def test_overflowing_alpha_names_the_overflow(capsys):
+    # alpha0 and m_pl are each in range, alpha0 / m_pl**2 is not
+    code, out, err = run(capsys, "gup", "--alpha0", "1e300", "--mpl", "1e-150")
+    assert code == 2
+    assert out == ""
+    assert "alpha = alpha0/m_pl**2 overflows" in err
+
+
 def test_numerical_failures_exit_3(capsys):
     # unreachable solver tolerance: some grid point keeps a rounding residual
     code, _, err = run(capsys, "maxent", "--tol", "1e-30")
@@ -266,6 +281,9 @@ def test_numerical_failures_exit_3(capsys):
         (("maxent", "--energies", "800,801"), 3),
         (("maxent", "--energies", "0,1", "--beta", "1e308"), 3),
         (("maxent", "--energies", "1e308,1e308", "--beta", "10"), 2),
+        # the quadrature tail's upper limit overflows before the tail is small
+        (("boltzmann", "--p", "1e-300", "--grid", "0:1:2"), 3),
+        (("boltzmann", "--p", "5e-324", "--grid", "0:1:2"), 3),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr

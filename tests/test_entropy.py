@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,98 @@ S_PLUS_PARTIAL3_OMEGA4 = 1.1738199084932006
 
 def uniform(omega):
     return ProbVector.uniform(omega)
+
+
+# --------------------------------------------------------------------------
+# the per-level formulas that the array expressions replaced: the reference
+
+
+def shannon_loop(probs):
+    return -math.fsum(p * math.log(p) for p in probs) + 0.0
+
+
+def s_plus_loop(probs):
+    return math.fsum(1.0 - p**p for p in probs)
+
+
+def s_minus_loop(probs):
+    return math.fsum(p ** (-p) - 1.0 for p in probs)
+
+
+def tsallis_loop(probs, q):
+    return (1.0 - math.fsum(p**q for p in probs)) / (q - 1.0)
+
+
+def renyi_loop(probs, q):
+    return math.log(math.fsum(p**q for p in probs)) / (1.0 - q) + 0.0
+
+
+def close(reference, abs=0.0):
+    return pytest.approx(reference, rel=1e-14, abs=abs)
+
+
+def gibbs_like(n):
+    """Seeded normalized weights exp(-x), x in [0, 30]: 13 decades of p."""
+    x = np.sort(np.random.default_rng([5, n]).uniform(0.0, 30.0, n))
+    weights = [math.exp(-v) for v in x.tolist()]
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 5000])
+def test_entropies_match_per_level_formulas(n):
+    # numpy's log/pow differ from math's by at most 1 ulp on some elements.
+    # In 1 - p**p and p**(-p) - 1 that is 1 ulp of a number near 1, so an
+    # absolute error of up to eps per level; the other sums keep rel 1e-14.
+    probs = gibbs_like(n)
+    dist = ProbVector(probs)
+    per_level = n * np.finfo(float).eps
+    assert shannon(dist) == close(shannon_loop(probs))
+    assert s_plus(dist) == close(s_plus_loop(probs), abs=per_level)
+    assert s_minus(dist) == close(s_minus_loop(probs), abs=per_level)
+    for q in (0.5, 2.0, 3.7):
+        assert tsallis(dist, q) == close(tsallis_loop(probs, q))
+        assert renyi(dist, q) == close(renyi_loop(probs, q))
+
+
+@pytest.mark.parametrize("container", [tuple, list, np.array])
+def test_probvector_input_containers(container):
+    probs = gibbs_like(500)
+    pv = ProbVector(container(probs))
+    assert pv == ProbVector(probs)
+    assert type(pv.probs) is tuple and all(type(p) is float for p in pv.probs)
+    assert pv.probs == probs
+
+
+def test_probvector_keeps_its_own_copy():
+    source = np.array([0.25, 0.75])
+    pv = ProbVector(source)
+    source[:] = 0.5
+    assert pv.probs == (0.25, 0.75)
+    assert s_plus(pv) == s_plus(ProbVector((0.25, 0.75)))
+
+
+@pytest.mark.parametrize("container", [tuple, list, np.array])
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ((0.5, float("nan"), 0.5), r"must lie in \(0, 1\], got nan"),
+        ((0.5, 0.0, 0.5), r"must lie in \(0, 1\], got 0\.0"),
+        ((0.25, 1.5, -0.75), r"must lie in \(0, 1\], got 1\.5"),  # the first one named
+        ((0.5, float("inf")), r"must lie in \(0, 1\], got inf"),
+        ((0.5, 0.5 + 2e-12), r"sum to 1\.000000000002.*, not 1"),
+        ((), "at least one state"),
+    ],
+)
+def test_probvector_refusals(container, probs, message):
+    with pytest.raises(ValueError, match=message):
+        ProbVector(container(probs))
+
+
+def test_probvector_refuses_non_1d_input():
+    for probs in (((0.5, 0.5),), np.array([[0.5], [0.5]]), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            ProbVector(probs)
 
 
 def test_probvector_validation():
@@ -61,13 +154,13 @@ def test_frozen_values():
 
 
 def test_delta_distribution_gives_zero():
-    delta = ProbVector((1.0,))
-    for fn in (shannon, s_plus, s_minus):
-        value = fn(delta)
-        assert value == 0.0
-        assert math.copysign(1.0, value) == 1.0  # plain zero, not -0.0
-    assert tsallis(delta, 2.0) == 0.0
-    assert renyi(delta, 2.0) == 0.0
+    for delta in (ProbVector((1.0,)), ProbVector(np.ones(1))):
+        for fn in (shannon, s_plus, s_minus):
+            value = fn(delta)
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0  # plain zero, not -0.0
+        assert tsallis(delta, 2.0) == 0.0
+        assert renyi(delta, 2.0) == 0.0
 
 
 prob_vectors = st.integers(min_value=2, max_value=8).flatmap(
@@ -120,6 +213,17 @@ def test_tsallis_renyi_values():
             tsallis(two, bad_q)
         with pytest.raises(ValueError):
             renyi(two, bad_q)
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 7, 64])
+def test_renyi_of_uniform_is_log_omega_at_every_q(omega):
+    # p**q underflows to 0 at the large q, which ln(sum(p**q)) cannot take
+    for q in (0.5, 2.0, 1000.0, 2000.0, 1e308):
+        assert renyi(uniform(omega), q) == close(math.log(omega))
+
+
+def test_renyi_at_large_q_tends_to_min_entropy():
+    assert renyi(ProbVector((0.25, 0.75)), 1e308) == close(-math.log(0.75))
 
 
 @given(prob_vectors)

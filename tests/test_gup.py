@@ -201,6 +201,8 @@ def test_params_and_alpha_scaling():
             GupParams(0.36, m_pl=m_pl)
     for m_pl in (1.5e-154, 1.3e154):
         assert 0.0 < GupParams(0.36, m_pl=m_pl).alpha < math.inf
+    with pytest.raises(ValueError, match=r"alpha = alpha0/m_pl\*\*2 overflows"):
+        GupParams(1e300, m_pl=1e-150)
 
 
 def test_p_of_k_frozen_value():

@@ -268,11 +268,39 @@ def test_distribution_near_boltzmann_at_weak_coupling():
         assert tv < 0.02
 
 
+def maxent_distribution_loop(energies, beta, kind):
+    """Per-level reference for maxent_distribution: the loop its array
+    expressions replaced, with one scalar solve per deformed level."""
+    levels = [float(e) for e in energies]
+    if kind == "boltzmann":
+        e_min = min(levels) if beta else 0.0
+        weights = [math.exp(-beta * (e - e_min)) for e in levels]
+    else:
+        solve = solve_p_plus if kind == "plus" else solve_p_minus
+        weights = [solve(beta * e).p for e in levels]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+@pytest.mark.parametrize("n", [1, 2, 500, 5000])
+@pytest.mark.parametrize("kind", ["plus", "minus", "boltzmann"])
+def test_distribution_matches_per_level_loop(kind, n):
+    # a seeded spectrum from 0 to x = 40, as the benchmark's spectra run;
+    # numpy's exp differs from math's by at most 1 ulp on some levels
+    rng = np.random.default_rng([11, n])
+    energies = [0.0, *np.sort(rng.uniform(0.0, 50.0, n - 1)).tolist()]
+    dist = maxent_distribution(energies, 0.8, kind)
+    reference = maxent_distribution_loop(energies, 0.8, kind)
+    assert dist.probs == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         maxent_distribution([1.0], 1.0, "gibbs")
     with pytest.raises(ValueError):
         maxent_distribution([], 1.0, "plus")
+    with pytest.raises(ValueError, match="1-D"):
+        maxent_distribution([[0.0, 1.0]], 1.0, "plus")
     with pytest.raises(ValueError):
         maxent_distribution([1.0], -0.5, "plus")
     with pytest.raises(ValueError):
