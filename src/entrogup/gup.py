@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NumericalError
 from .maxent import AnsatzCoeffs
 from .series import (
     DEFAULT_ORDER,
+    MAX_ORDER,
     TruncatedSeries,
     compose,
     exp_series,
@@ -80,6 +81,8 @@ class GupParams:
 
     alpha0: float
     m_pl: float = 1.0
+    # alpha0 / m_pl**2, derived once here; not a constructor argument.
+    alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha0):
@@ -90,15 +93,13 @@ class GupParams:
                 f"m_pl must lie in [{lo:.4g}, {hi:.4g}], where m_pl**2 is a normal "
                 f"float, got {self.m_pl!r}"
             )
-        if not math.isfinite(self.alpha):
+        alpha = self.alpha0 / (self.m_pl * self.m_pl)
+        if not math.isfinite(alpha):
             raise ValueError(
                 f"alpha = alpha0/m_pl**2 overflows for alpha0 = {self.alpha0!r}, "
                 f"m_pl = {self.m_pl!r}"
             )
-
-    @property
-    def alpha(self) -> float:
-        return self.alpha0 / (self.m_pl * self.m_pl)
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,13 @@ def effective_hamiltonian_series(
     """Series of ``H - ln(sum_j a_j H**j)`` in the wavenumber, ``H = k**2/2``.
 
     The expansion starts ``(1-a1)/2 k**2 + (a1**2 - 2 a2)/8 k**4 + ...``.
-    ``order`` must be even and at least 4.
+    ``order`` must be even and lie in ``[4, MAX_ORDER]``.
     """
     order = operator.index(order)
     if order < 4 or order % 2 != 0:
         raise ValueError(f"order must be an even integer >= 4, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
     h_coeffs = [0.0] * (order + 1)
     h_coeffs[2] = 0.5
     h_free = TruncatedSeries(tuple(h_coeffs))
@@ -209,11 +212,14 @@ def tsallis_coeffs(q: float, order: int = 4) -> AnsatzCoeffs:
 
     Expands ``(1 - (1-q) x)**(1/(1-q))`` as ``exp(-x) * sum_j a_j x**j`` via
     series operations; the result has ``a1 = 0`` and ``a2 = -(1-q)/2``.
-    At ``q = 1`` every coefficient beyond ``a0`` vanishes.
+    At ``q = 1`` every coefficient beyond ``a0`` vanishes.  ``order`` must lie
+    in ``[2, MAX_ORDER]``.
     """
     order = operator.index(order)
     if order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must lie in [2, {MAX_ORDER}], got {order}")
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")

@@ -242,7 +242,10 @@ def fit_gen_exp(
         raise ValueError(f"degree must be an integer, got {degree!r}") from None
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
-    xs = np.asarray(list(grid), dtype=float)
+    if isinstance(grid, np.ndarray):
+        xs = np.array(grid, dtype=float)
+    else:
+        xs = np.asarray(list(grid), dtype=float)
     if xs.ndim != 1 or xs.size < degree + 1:
         raise ValueError(f"need at least {degree + 1} grid points, got {xs.size}")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):

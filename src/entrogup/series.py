@@ -11,6 +11,13 @@ deformation pipeline needs: ``ln(1+u)``, ``exp(u)``, square roots of series
 with a positive constant term, polynomial composition, and the tangent /
 arctangent expansions behind the momentum relations.  Everything is plain
 double precision.
+
+``mul``, ``ln_one_plus``, ``exp_series`` and ``compose`` work on float64
+arrays: every intermediate product is one truncated ``np.convolve``, and the
+coefficients are converted and checked once, when the result is returned as a
+:class:`TruncatedSeries`.  A coefficient that overflows on the way stays
+non-finite through every later step (``inf * 0`` is NaN), so such a series is
+still refused as "series coefficients must be finite".
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ __all__ = [
 # Captures the k^6 coefficients of the effective-Hamiltonian expansion with margin.
 DEFAULT_ORDER = 8
 
+# Largest truncation order the deformation pipeline accepts.  Its cost grows
+# about cubically with the order; 256 runs in milliseconds.
+MAX_ORDER = 256
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -44,10 +55,10 @@ class TruncatedSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
-        if not all(math.isfinite(c) for c in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -108,11 +119,15 @@ class TruncatedSeries:
         return self.__mul__(other)
 
 
+def _cauchy(a, b, n: int) -> np.ndarray:
+    """Cauchy product of two coefficient sequences, truncated at order ``n``."""
+    return np.convolve(a, b)[: n + 1]
+
+
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to the smaller operand order."""
     n = min(a.order, b.order)
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncatedSeries(tuple(float(c) for c in full[: n + 1]))
+    return TruncatedSeries(_cauchy(a.coeffs, b.coeffs, n).tolist())
 
 
 def ln_one_plus(u: TruncatedSeries) -> TruncatedSeries:
@@ -120,24 +135,33 @@ def ln_one_plus(u: TruncatedSeries) -> TruncatedSeries:
     if u.coeffs[0] != 0.0:
         raise ValueError("ln(1+u) requires a series with zero constant term")
     n = u.order
+    base = np.array(u.coeffs)
     acc = np.zeros(n + 1)
-    power = u
-    for m in range(1, n + 1):
-        sign = 1.0 if m % 2 else -1.0
-        acc += np.asarray(power.coeffs) * (sign / m)
-        if m < n:
-            power = mul(power, u)
-    return TruncatedSeries(tuple(float(c) for c in acc))
+    power = base
+    # An overflowing power or sum leaves inf or NaN (inf - inf) in acc, which
+    # the return refuses as non-finite; numpy need not warn about it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            sign = 1.0 if m % 2 else -1.0
+            acc += power * (sign / m)
+            if m < n:
+                power = _cauchy(power, base, n)
+    return TruncatedSeries(acc.tolist())
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
     """``exp(u)`` for a series ``u`` with zero constant term."""
     if u.coeffs[0] != 0.0:
         raise ValueError("exp(u) requires a series with zero constant term")
-    acc = TruncatedSeries.constant(1.0, u.order)
-    for m in range(u.order, 0, -1):
-        acc = mul(acc, u) * (1.0 / m) + 1.0
-    return acc
+    n = u.order
+    base = np.array(u.coeffs)
+    acc = np.zeros(n + 1)
+    acc[0] = 1.0
+    for m in range(n, 0, -1):
+        acc = _cauchy(acc, base, n)
+        acc *= 1.0 / m
+        acc[0] += 1.0
+    return TruncatedSeries(acc.tolist())
 
 
 def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -163,11 +187,13 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("composition requires an inner series with zero constant term")
     n = min(outer.order, inner.order)
     oc = outer.coeffs[: n + 1]
-    inner_t = inner.truncated(n)
-    acc = TruncatedSeries.constant(oc[-1], n)
+    inner_t = np.array(inner.coeffs[: n + 1])
+    acc = np.zeros(n + 1)
+    acc[0] = oc[-1]
     for c in reversed(oc[:-1]):
-        acc = mul(acc, inner_t) + c
-    return acc
+        acc = _cauchy(acc, inner_t, n)
+        acc[0] += c
+    return TruncatedSeries(acc.tolist())
 
 
 def tan_series(order: int) -> TruncatedSeries:

@@ -52,6 +52,20 @@ class GammaBetaParams:
             raise ValueError(f"beta0 must be positive and finite, got {self.beta0!r}")
 
 
+def _lgamma_shape(p: float) -> float:
+    """``ln Gamma(1/p)``; a ``NumericalError`` where it overflows (p below ~3.9e-306)."""
+    try:
+        value = math.lgamma(1.0 / p)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericalError(
+            f"ln Gamma(1/p) overflows at p = {p!r}: the spread is too small to "
+            "represent the Gamma density"
+        )
+    return value
+
+
 def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
     """Probability density of the inverse temperature at ``beta``.
 
@@ -67,6 +81,11 @@ def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
     float
         Density value; normalized so the mean is ``beta0`` and the variance
         ``p * beta0**2``.
+
+    Raises
+    ------
+    NumericalError
+        If ``beta > 0`` and ``ln Gamma(1/p)`` overflows (``p`` below ~3.9e-306).
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be non-negative, got {beta!r}")
@@ -78,7 +97,7 @@ def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
     return math.exp(
         (shape - 1.0) * math.log(beta)
         - beta / scale
-        - math.lgamma(shape)
+        - _lgamma_shape(params.p)
         - shape * math.log(scale)
     )
 
@@ -220,7 +239,8 @@ def boltzmann_quadrature(
     Raises
     ------
     NumericalError
-        If the estimated relative error cannot be brought below ``tol``.
+        If the estimated relative error cannot be brought below ``tol``, or
+        ``ln Gamma(1/p)`` overflows (``p`` below ~3.9e-306).
     """
     if not (math.isfinite(energy) and energy >= 0.0):
         raise ValueError(f"energy must be non-negative, got {energy!r}")
@@ -228,7 +248,7 @@ def boltzmann_quadrature(
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     shape = 1.0 / params.p
     c = 1.0 + params.p * params.beta0 * energy
-    lgam = math.lgamma(shape)
+    lgam = _lgamma_shape(params.p)
 
     def integrand(t):
         return np.exp((shape - 1.0) * np.log(t) - c * t - lgam)

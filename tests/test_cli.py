@@ -284,6 +284,8 @@ def test_numerical_failures_exit_3(capsys):
         # the quadrature tail's upper limit overflows before the tail is small
         (("boltzmann", "--p", "1e-300", "--grid", "0:1:2"), 3),
         (("boltzmann", "--p", "5e-324", "--grid", "0:1:2"), 3),
+        # ln Gamma(1/p) overflows
+        (("boltzmann", "--p", "1e-308"), 3),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
@@ -292,6 +294,28 @@ def test_unrepresentable_levels_fail_without_warnings(argv, exit_code, capsys):
     assert code == exit_code
     assert out == ""
     assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", ["258", str(10**20)])
+@pytest.mark.parametrize("kind", ["plus", "tsallis"])
+def test_series_order_above_max_exits_2(kind, order, capsys):
+    code, out, err = run(capsys, "derive", "--kind", kind, "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: order must lie in [") and ", 256], got " in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # an overflow inside the series must not warn
+def test_overflowing_series_coefficients_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("kind = plus\ndegree = 2\na0 = 1.0\na1 = 0.0\na2 = 1e300\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--coeffs", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: series coefficients must be finite\n"
 
 
 def test_fit_window_too_wide_for_degree_exits_2_quietly(tmp_path):

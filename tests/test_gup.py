@@ -24,6 +24,7 @@ from entrogup.gup import (
     uncertainty_lower_bound,
 )
 from entrogup.maxent import AnsatzCoeffs
+from entrogup.series import MAX_ORDER
 
 # published values the pipeline must land on (tolerance 1e-5)
 ALPHA0_PLUS_PUBLISHED = -0.560565
@@ -59,6 +60,10 @@ def test_hamiltonian_order_validation():
         effective_hamiltonian_series(REFERENCE_PLUS, order=7)
     with pytest.raises(ValueError):
         effective_hamiltonian_series(REFERENCE_PLUS, order=2)
+    for order in (MAX_ORDER + 2, 10**20):
+        with pytest.raises(ValueError, match=rf"order must lie in \[4, {MAX_ORDER}\]"):
+            effective_hamiltonian_series(REFERENCE_PLUS, order=order)
+    assert effective_hamiltonian_series(REFERENCE_PLUS, order=MAX_ORDER).order == MAX_ORDER
 
 
 def test_momentum_series_leading_coefficient():
@@ -182,6 +187,11 @@ def test_tsallis_validation():
         tsallis_coeffs(float("nan"))
     with pytest.raises(ValueError):
         tsallis_coeffs(0.5, order=1)
+    for q in (0.5, 1.0):
+        for order in (MAX_ORDER + 2, 10**20):
+            with pytest.raises(ValueError, match=rf"order must lie in \[2, {MAX_ORDER}\]"):
+                tsallis_coeffs(q, order=order)
+    assert tsallis_coeffs(0.5, order=MAX_ORDER).degree == MAX_ORDER
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +201,12 @@ def test_tsallis_validation():
 def test_params_and_alpha_scaling():
     params = GupParams(0.36, m_pl=2.0)
     assert params.alpha == pytest.approx(0.09, rel=1e-15)
+    assert params.alpha == 0.36 / (2.0 * 2.0)
+    # alpha is derived, not a constructor argument, and stays out of repr and ==
+    assert repr(params) == "GupParams(alpha0=0.36, m_pl=2.0)"
+    assert params == GupParams(0.36, 2.0) and hash(params) == hash(GupParams(0.36, 2.0))
+    with pytest.raises(TypeError):
+        GupParams(0.36, 2.0, 0.09)
     with pytest.raises(ValueError):
         GupParams(float("inf"))
     with pytest.raises(ValueError):

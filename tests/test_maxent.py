@@ -225,6 +225,16 @@ def test_fit_rms_on_wide_window():
     assert fit_gen_exp("minus", 6, wide).residual <= 1e-3
 
 
+def test_fit_grid_containers():
+    grid = np.linspace(0.0, 1.0, 31)
+    expected = fit_gen_exp("plus", 4, grid.tolist())
+    for container in (grid, tuple(grid.tolist()), (float(x) for x in grid)):
+        assert fit_gen_exp("plus", 4, container) == expected
+    assert fit_gen_exp("minus", 4, np.arange(7)) == fit_gen_exp("minus", 4, range(7))
+    with pytest.raises(ValueError, match="need at least 5 grid points"):
+        fit_gen_exp("plus", 4, grid.reshape(1, -1))
+
+
 def test_fit_validation():
     grid = np.linspace(0.0, 1.0, 31)
     with pytest.raises(ValueError):

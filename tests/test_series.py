@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entrogup import gup
+from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, deformation_pipeline, tsallis_coeffs
 from entrogup.series import (
     TruncatedSeries,
     arctan_series,
@@ -207,3 +210,135 @@ def test_values_match_math_functions():
     ):
         total = math.fsum(c * x**m for m, c in enumerate(series.coeffs))
         assert abs(total - ref) < 1e-15 * (1 + abs(ref)) + 1e-16
+
+
+# --------------------------------------------------------------------------
+# array implementations against the object-per-step reference
+#
+# The reference functions below build a TruncatedSeries after every step, as
+# the series core once did.  The array versions keep each operation in the
+# same order, so results must be equal bit for bit, not approximately.
+
+
+def ref_mul(a, b):
+    n = min(a.order, b.order)
+    full = np.convolve(a.coeffs, b.coeffs)
+    return TruncatedSeries(tuple(float(c) for c in full[: n + 1]))
+
+
+def ref_ln_one_plus(u):
+    if u.coeffs[0] != 0.0:
+        raise ValueError("ln(1+u) requires a series with zero constant term")
+    n = u.order
+    acc = np.zeros(n + 1)
+    power = u
+    for m in range(1, n + 1):
+        sign = 1.0 if m % 2 else -1.0
+        acc += np.asarray(power.coeffs) * (sign / m)
+        if m < n:
+            power = ref_mul(power, u)
+    return TruncatedSeries(tuple(float(c) for c in acc))
+
+
+def ref_exp_series(u):
+    if u.coeffs[0] != 0.0:
+        raise ValueError("exp(u) requires a series with zero constant term")
+    acc = TruncatedSeries.constant(1.0, u.order)
+    for m in range(u.order, 0, -1):
+        acc = ref_mul(acc, u) * (1.0 / m) + 1.0
+    return acc
+
+
+def ref_compose(outer, inner):
+    if inner.coeffs[0] != 0.0:
+        raise ValueError("composition requires an inner series with zero constant term")
+    n = min(outer.order, inner.order)
+    oc = outer.coeffs[: n + 1]
+    inner_t = inner.truncated(n)
+    acc = TruncatedSeries.constant(oc[-1], n)
+    for c in reversed(oc[:-1]):
+        acc = ref_mul(acc, inner_t) + c
+    return acc
+
+
+def outcome(fn, *args):
+    """Coefficients of the result, or the error message it raised."""
+    try:
+        return fn(*args).coeffs
+    except ValueError as exc:
+        return str(exc)
+
+
+def series_of_order(lo, hi, zero_constant=False):
+    # wide magnitudes so that some powers overflow and both sides must refuse
+    coeff = st.floats(min_value=-1e30, max_value=1e30, allow_nan=False,
+                      allow_infinity=False)
+    tails = st.integers(lo, hi).flatmap(lambda n: st.lists(coeff, min_size=n, max_size=n))
+    if zero_constant:
+        return tails.map(lambda t: TruncatedSeries((0.0, *t)))
+    return st.tuples(coeff, tails).map(lambda ct: TruncatedSeries((ct[0], *ct[1])))
+
+
+@given(series_of_order(1, 24), series_of_order(1, 24))
+@settings(max_examples=300)
+def test_mul_equals_reference(a, b):
+    assert outcome(mul, a, b) == outcome(ref_mul, a, b)
+
+
+@given(series_of_order(1, 24, zero_constant=True))
+@settings(max_examples=300)
+def test_ln_one_plus_equals_reference(u):
+    assert outcome(ln_one_plus, u) == outcome(ref_ln_one_plus, u)
+
+
+@given(series_of_order(1, 24, zero_constant=True))
+@settings(max_examples=300)
+def test_exp_series_equals_reference(u):
+    assert outcome(exp_series, u) == outcome(ref_exp_series, u)
+
+
+@given(series_of_order(1, 24), series_of_order(1, 24, zero_constant=True))
+@settings(max_examples=300)
+def test_compose_equals_reference(outer, inner):
+    assert outcome(compose, outer, inner) == outcome(ref_compose, outer, inner)
+
+
+def reference_pipeline(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as patched:
+        for name, ref in (("compose", ref_compose), ("ln_one_plus", ref_ln_one_plus),
+                          ("exp_series", ref_exp_series)):
+            patched.setattr(gup, name, ref)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("coeffs", [REFERENCE_PLUS, REFERENCE_MINUS], ids=["plus", "minus"])
+@pytest.mark.parametrize("order", range(4, 17, 2))
+def test_pipeline_equals_reference(coeffs, order, monkeypatch):
+    expected = reference_pipeline(monkeypatch, deformation_pipeline, coeffs, order=order)
+    assert deformation_pipeline(coeffs, order=order) == expected
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_tsallis_coeffs_equal_reference(order, monkeypatch):
+    for q in (-2.0, 0.3, 0.5, 0.9, 0.999, 1.1, 1.5, 3.0):
+        expected = reference_pipeline(monkeypatch, tsallis_coeffs, q, order=order)
+        assert tsallis_coeffs(q, order=order) == expected
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ln_one_plus, (TruncatedSeries((0.0, 1e200, 0.0, 0.0, 0.0)),)),
+        (ln_one_plus, (TruncatedSeries((0.0, 1e200, -1e200, 1e200, 0.0)),)),
+        # every power is finite; the sum -1.7e308 - 8.45e307 overflows
+        (ln_one_plus, (TruncatedSeries((0.0, 1.3e154, -1.7e308)),)),
+        (exp_series, (TruncatedSeries((0.0, 1e300, 1e300, 0.0)),)),
+        (compose, (TruncatedSeries((0.0, 1e300, 1e300)), TruncatedSeries((0.0, 1e300, 1e300)))),
+        (compose, (TruncatedSeries((1.0, 1.0, 1.0, 1e300)), TruncatedSeries((0.0, 1e300, 0.0, 0.0)))),
+        (mul, (TruncatedSeries((1e300, 1e300)), TruncatedSeries((1e300, -1e300)))),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # an overflow on the way must not warn
+def test_overflowing_intermediates_are_refused(fn, args):
+    with pytest.raises(ValueError, match="series coefficients must be finite"):
+        fn(*args)

@@ -60,6 +60,18 @@ def test_gamma_pdf_at_zero():
         gamma_pdf(peaked, -1.0)
 
 
+@pytest.mark.parametrize("p", [1e-308, 3e-306, 5e-324])
+@pytest.mark.filterwarnings("error")
+def test_tiny_spread_is_a_numerical_error(p):
+    # GammaBetaParams accepts every p in (0, 1]; ln Gamma(1/p) overflows below ~3.9e-306
+    params = GammaBetaParams(p, 1.0)
+    with pytest.raises(NumericalError, match=rf"overflows at p = {p!r}"):
+        boltzmann_quadrature(params, 0.5)
+    with pytest.raises(NumericalError, match=rf"overflows at p = {p!r}"):
+        gamma_pdf(params, 1.0)
+    assert gamma_pdf(params, 0.0) == 0.0  # the density at 0 needs no Gamma function
+
+
 def test_closed_form_examples():
     assert boltzmann_closed(GammaBetaParams(0.2, 2.0), 3.0) == pytest.approx(
         CLOSED_P02_B2_E3, rel=1e-15
