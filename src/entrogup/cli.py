@@ -51,6 +51,7 @@ from .maxent import (
     maxent_distribution,
     save_coeffs,
 )
+from .series import MAX_ORDER
 from .superstats import (
     GammaBetaParams,
     boltzmann_closed,
@@ -377,6 +378,9 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
         source = f"file:{args.coeffs}"
     elif args.kind == "tsallis" or args.q is not None:
         q = 1.0 if args.q is None else args.q
+        if order > MAX_ORDER:
+            # Refused here, by the order given: tsallis_coeffs sees only half of it.
+            raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
         # Terms a_j H**j with 2j > order fall outside the truncation anyway.
         coeffs = tsallis_coeffs(q, order=max(2, order // 2))
         source = "tsallis"

@@ -11,14 +11,16 @@ Gauss-Kronrod rule in numpy, applied adaptively.  Its first panels narrow
 geometrically toward a lower limit of 0, where ``t**(1/p - 1)`` is not smooth;
 each round evaluates the integrand once on every open panel (21 nodes each)
 and bisects the panels whose error estimate is above their share of the
-requested relative error.  ``boltzmann_quadrature`` integrates up to a first
-upper limit and, while the analytic tail bound is too large, adds the next
-piece ``[T, 1.5 T]`` with its error estimate instead of starting again at 0.
+requested relative error.  ``boltzmann_quadrature`` makes at most two
+``quad`` calls: ``[0, T0]`` from a first upper limit, and, if the analytic tail
+bound there is too large, ``[T0, T]`` with ``T`` placed by Newton steps on the
+logarithm of that bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,21 +87,42 @@ def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
     Raises
     ------
     NumericalError
-        If ``beta > 0`` and ``ln Gamma(1/p)`` overflows (``p`` below ~3.9e-306).
+        If ``beta > 0`` and ``ln Gamma(1/p)`` overflows (``p`` below ~3.9e-306),
+        or the density itself is above the largest float (``beta0`` near the
+        smallest floats).
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be non-negative, got {beta!r}")
     shape = 1.0 / params.p
-    scale = params.p * params.beta0
     if beta == 0.0:
         # Finite only in the exponential limit p = 1 (shape 1).
-        return 1.0 / scale if shape == 1.0 else 0.0
-    return math.exp(
-        (shape - 1.0) * math.log(beta)
-        - beta / scale
-        - _lgamma_shape(params.p)
-        - shape * math.log(scale)
-    )
+        return 1.0 / (params.p * params.beta0) if shape == 1.0 else 0.0
+    lgam = _lgamma_shape(params.p)  # also refuses a p where it overflows
+    # In r = beta/beta0 the log density is
+    # shape (ln r - (r - 1)) - ln r - ln beta0 + B,  B = shape ln shape - shape - lgam,
+    # which has no pair of terms of size ~shape that cancel.  Near r = 1, where
+    # the factor shape amplifies it, the error of ln r is relative to r - 1.
+    if shape < 20.0:
+        b = shape * math.log(shape) - shape - lgam
+    else:
+        # Stirling's series: B = ln(shape/2 pi)/2 - 1/(12 shape) + 1/(360 shape^3) - ...
+        u = 1.0 / shape
+        v = u * u
+        b = 0.5 * math.log(shape / (2.0 * math.pi)) - u * (
+            1.0 / 12.0 - v * (1.0 / 360.0 - v * (1.0 / 1260.0 - v / 1680.0))
+        )
+    r = beta / params.beta0
+    if sys.float_info.min <= r < math.inf:
+        ln_r = math.log(r)
+    else:  # r is subnormal or overflows: beta and beta0 are far apart
+        ln_r = math.log(beta) - math.log(params.beta0)
+    log_density = shape * (ln_r - (r - 1.0)) - ln_r - math.log(params.beta0) + b
+    try:
+        return math.exp(log_density)
+    except OverflowError:
+        raise NumericalError(
+            f"the Gamma density overflows at beta = {beta!r} (beta0 = {params.beta0!r})"
+        ) from None
 
 
 def boltzmann_closed(params: GammaBetaParams, energy: float) -> float:
@@ -224,8 +247,10 @@ def boltzmann_quadrature(
     Integrates ``gamma_pdf(beta) * exp(-beta*E)`` over the substitution
     ``t = beta / (p*beta0)``, which turns the integrand into
     ``t**(1/p - 1) * exp(-c*t) / Gamma(1/p)`` with ``c = 1 + p*beta0*E``.
-    The interval is cut at an upper limit ``T`` chosen so the analytic tail
-    bound stays below ``tol/10`` relative to the computed value.
+    It integrates ``[0, T0]`` with ``T0 = max(2(1/p - 1)/c, 1)``, past which the
+    dropped tail is at most ``integrand(T) * 2/c``.  If that bound at ``T0`` is
+    above ``tol/10`` relative to the value, Newton steps place ``T`` where the
+    bound is ``tol/100`` relative, and ``[T0, T]`` is the second and last piece.
 
     Parameters
     ----------
@@ -253,34 +278,41 @@ def boltzmann_quadrature(
     def integrand(t):
         return np.exp((shape - 1.0) * np.log(t) - c * t - lgam)
 
-    # Past T >= 2(shape-1)/c the exponent decays at least like exp(-c t / 2),
-    # so the dropped tail is bounded by integrand(T) * 2/c.
-    # Pieces [0, T], [T, 1.5 T], ... until the tail bound is met.  For tiny p,
-    # T runs past the largest float before that; such a limit is never integrated.
-    lower, upper = 0.0, max(2.0 * (shape - 1.0) / c, 1.0)
-    value = abserr = 0.0
+    # Past T0 = 2(shape-1)/c the exponent decays at least like exp(-c t / 2),
+    # so the tail dropped at any T >= T0 is bounded by integrand(T) * 2/c.
+    lower = max(2.0 * (shape - 1.0) / c, 1.0)
     epsrel = max(min(tol / 4.0, 1e-2), 1e-13)
     # c*t past the largest float only occurs where the integrand is 0.
     with np.errstate(over="ignore"):
-        for _ in range(65):
-            if not math.isfinite(upper):
-                break
-            piece, piece_err = quad(integrand, lower, upper, epsrel)
-            value += piece
-            abserr += piece_err
-            tail = float(integrand(upper)) * 2.0 / c
-            if value > 0.0 and tail <= 0.1 * tol * value:
-                if abserr + tail > tol * value:
-                    raise NumericalError(
-                        f"quadrature reached relative error {(abserr + tail) / value:.3e}, "
-                        f"above the requested tolerance {tol:.3e}"
-                    )
-                return value
-            lower, upper = upper, 1.5 * upper
-    raise NumericalError(
-        "could not push the quadrature tail below the requested tolerance "
-        f"(last upper limit {lower:.3e})"
-    )
+        value, abserr = quad(integrand, 0.0, lower, epsrel)
+        upper = lower
+        tail = float(integrand(upper)) * 2.0 / c
+        if value > 0.0 and tail > 0.1 * tol * value:
+            # Place T where the bound is 0.01 tol value: the root of
+            # h(T) = (shape-1) ln T - c T - lgam - ln(0.01 tol value c/2).
+            # h is concave and decreasing past T0, so every Newton iterate
+            # from T0 lies at or past the root and meets the bound; further
+            # steps only move T closer to it.
+            target = math.log(0.005) + math.log(tol) + math.log(c) + math.log(value)
+            for _ in range(3):
+                h = (shape - 1.0) * math.log(upper) - c * upper - lgam - target
+                upper -= h / ((shape - 1.0) / upper - c)
+            if math.isfinite(upper):
+                piece, piece_err = quad(integrand, lower, upper, epsrel)
+                value += piece
+                abserr += piece_err
+                tail = float(integrand(upper)) * 2.0 / c
+    if not (value > 0.0 and math.isfinite(upper)):
+        raise NumericalError(
+            "could not push the quadrature tail below the requested tolerance "
+            f"(last upper limit {lower:.3e})"
+        )
+    if not abserr + tail <= tol * value:  # a NaN bound fails too
+        raise NumericalError(
+            f"quadrature reached relative error {(abserr + tail) / value:.3e}, "
+            f"above the requested tolerance {tol:.3e}"
+        )
+    return value
 
 
 def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> float:

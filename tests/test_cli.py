@@ -286,6 +286,8 @@ def test_numerical_failures_exit_3(capsys):
         (("boltzmann", "--p", "5e-324", "--grid", "0:1:2"), 3),
         # ln Gamma(1/p) overflows
         (("boltzmann", "--p", "1e-308"), 3),
+        # unreachable quadrature tolerance
+        (("boltzmann", "--tol", "1e-16"), 3),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
@@ -305,6 +307,15 @@ def test_series_order_above_max_exits_2(kind, order, capsys):
     assert out == ""
     assert err.startswith("error: order must lie in [") and ", 256], got " in err
     assert err.count("\n") == 1
+
+
+def test_tsallis_order_above_max_names_the_order_given(capsys):
+    # the tsallis coefficients are built to half the order; the refusal must
+    # still name the order on the command line
+    code, out, err = run(capsys, "derive", "--kind", "tsallis", "--order", str(10**20))
+    assert code == 2
+    assert out == ""
+    assert f"got {10**20}\n" in err
 
 
 @pytest.mark.filterwarnings("error")  # an overflow inside the series must not warn

@@ -9,6 +9,7 @@ quadrature is checked against ``scipy.integrate.quad``.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,49 @@ def test_tiny_spread_is_a_numerical_error(p):
     with pytest.raises(NumericalError, match=rf"overflows at p = {p!r}"):
         gamma_pdf(params, 1.0)
     assert gamma_pdf(params, 0.0) == 0.0  # the density at 0 needs no Gamma function
+
+
+def mpmath_gamma_pdf(p, beta0, beta, dps):
+    """The Gamma density as written in the textbook, in ``dps`` digits."""
+    with mpmath.workdps(dps):
+        p, beta0, beta = mpmath.mpf(p), mpmath.mpf(beta0), mpmath.mpf(beta)
+        shape, scale = 1 / p, p * beta0
+        return float(mpmath.exp((shape - 1) * mpmath.log(beta) - beta / scale
+                                - mpmath.loggamma(shape) - shape * mpmath.log(scale)))
+
+
+@pytest.mark.parametrize("beta0", [1.0, 2.5])
+@pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-10, 1e-12])
+def test_gamma_pdf_matches_mpmath_at_small_spread(p, beta0):
+    # one standard deviation above the mean; the textbook terms cancel to 1 part
+    # in ~(1/p) ln(1/p), so the oracle keeps 50 digits
+    beta = beta0 * (1.0 + math.sqrt(p))
+    expected = mpmath_gamma_pdf(p, beta0, beta, 50)
+    assert gamma_pdf(GammaBetaParams(p, beta0), beta) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_pdf_at_tiny_spread_is_finite():
+    # the density peaks at ~sqrt(shape / 2 pi) / beta0 = 4e149 for p = 1e-300;
+    # the oracle's terms are ~7e302, so it needs ~320 digits
+    for beta0 in (1.0, 2.5):
+        value = gamma_pdf(GammaBetaParams(1e-300, beta0), beta0)
+        assert value == pytest.approx(mpmath_gamma_pdf(1e-300, beta0, beta0, 400), rel=1e-12)
+    # far below the mean the density underflows to 0
+    assert gamma_pdf(GammaBetaParams(1e-300, 2.5), 1.0) == 0.0
+
+
+def test_gamma_pdf_where_beta_over_beta0_leaves_the_float_range():
+    # p = 1: the density is exp(-beta/beta0) / beta0; beta/beta0 underflows to 0
+    assert gamma_pdf(GammaBetaParams(1.0, 1e300), 1e-300) == pytest.approx(1e-300, rel=1e-15)
+    # beta/beta0 overflows: far above the mean the density is 0
+    assert gamma_pdf(GammaBetaParams(0.5, 1e-300), 1e300) == 0.0
+
+
+def test_gamma_pdf_overflow_is_a_numerical_error():
+    # p = 1: the density at beta0 is exp(-1) / beta0, above the largest float
+    with pytest.raises(NumericalError, match="density overflows"):
+        gamma_pdf(GammaBetaParams(1.0, 1e-320), 1e-320)
 
 
 def test_closed_form_examples():
@@ -162,6 +206,32 @@ def test_quadrature_matches_scipy_at_corners(p, energy, tol):
     assert value == pytest.approx(oracle, rel=tol)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("energy", [0.0, 0.5, 20.0])
+@pytest.mark.parametrize("p", [0.02, 0.3, 0.99, 1.0])
+def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
+    # [0, T0], then at most one piece [T0, T] with T placed on the tail bound
+    limits = []
+    inner = superstats.quad
+
+    def counting_quad(func, a, b, epsrel):
+        limits.append((a, b))
+        return inner(func, a, b, epsrel)
+
+    monkeypatch.setattr(superstats, "quad", counting_quad)
+    value = boltzmann_quadrature(GammaBetaParams(p, 1.0), energy, tol=tol)
+    assert 1 <= len(limits) <= 2
+    assert limits[0][0] == 0.0
+    if len(limits) == 2:
+        assert limits[1][0] == limits[0][1] < limits[1][1]
+    shape, c = 1.0 / p, 1.0 + p * energy
+    upper = limits[-1][1]
+    tail = math.exp((shape - 1.0) * math.log(upper) - c * upper - math.lgamma(shape)) * 2.0 / c
+    assert tail <= 0.1 * tol * value
+    closed = boltzmann_closed(GammaBetaParams(p, 1.0), energy)
+    assert value == pytest.approx(closed, rel=tol)
+
+
 def test_quad_stops_at_its_work_limits():
     # 1/t is not integrable at 0: the estimate it returns admits a large error
     value, abserr = superstats.quad(lambda t: 1.0 / t, 0.0, 1.0, 1e-10)
@@ -173,6 +243,14 @@ def test_quadrature_rejects_unreachable_tolerance():
         boltzmann_quadrature(GammaBetaParams(0.2, 1.0), 1.0, tol=1e-16)
     with pytest.raises(ValueError):
         boltzmann_quadrature(GammaBetaParams(0.2, 1.0), 1.0, tol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrature_tail_failure_is_a_numerical_error():
+    # p = 1e-300: the first piece misses the peak at t ~ 1/p and integrates to
+    # 0, so no tail limit can be placed; no log(0) or overflow on the way
+    with pytest.raises(NumericalError, match="could not push the quadrature tail"):
+        boltzmann_quadrature(GammaBetaParams(1e-300, 1.0), 0.0)
 
 
 def test_series_orders():
