@@ -1,8 +1,14 @@
-"""Discrete entropy measures built from probabilities alone (k_B = 1)."""
+"""Discrete entropy measures built from probabilities alone (k_B = 1).
+
+Every sum over states, here and in ``maxent.maxent_distribution``, is
+``math.fsum`` of the terms, the correctly rounded exact sum, computed by
+:func:`_fsum` without building one Python float per state.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +27,41 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+
+# np.bincount adds at most this many values into one binade's partial, whose
+# 27-bit (hi) or 26-bit (lo) significands then sum exactly in 53 bits.
+_FSUM_CHUNK = 1 << 26
+# The kernel sums in numpy while (largest binade + 1) + bit length of the size
+# stays within this: the magnitudes then sum below 2**978, so no partial sum,
+# here or in math.fsum, comes near overflow.
+_FSUM_TOP = 2001
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` of a 1-D float64 array, bit for bit.
+
+    Each value splits exactly into ``hi``, its top 27 significant bits, and
+    ``lo = value - hi``.  The parts of one binade (11-bit exponent field) are
+    multiples of one power of two, so ``np.bincount`` adds them exactly into
+    one partial per binade and part (Zhu & Hayes, ACM TOMS 37, 2010).
+    ``math.fsum`` rounds the at most 4096 nonzero partials once.  Non-finite
+    values, and values large enough that a partial sum could overflow, go to
+    ``math.fsum`` itself, whose result or exception then depends on order.
+    """
+    bits = values.view(np.int64)
+    binade = (bits >> 52) & 2047
+    hi = (bits & -(1 << 26)).view(np.float64)
+    partials: list[float] = []
+    for start in range(0, values.size, _FSUM_CHUNK):
+        chunk = slice(start, start + _FSUM_CHUNK)
+        hi_sums = np.bincount(binade[chunk], hi[chunk])
+        # hi_sums has one entry per binade up to the largest in the chunk
+        if hi_sums.size + values.size.bit_length() > _FSUM_TOP:
+            return math.fsum(values.tolist())
+        lo_sums = np.bincount(binade[chunk], values[chunk] - hi[chunk])
+        partials += hi_sums[hi_sums != 0.0].tolist()
+        partials += lo_sums[lo_sums != 0.0].tolist()
+    return math.fsum(partials)
 
 
 @dataclass(frozen=True)
@@ -46,19 +87,26 @@ class ProbVector:
         bad = np.flatnonzero(~((array > 0.0) & (array <= 1.0)))
         if bad.size:
             raise ValueError(f"probabilities must lie in (0, 1], got {float(array[bad[0]])!r}")
-        probs = array.tolist()
-        total = math.fsum(probs)
+        total = _fsum(array)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         array.flags.writeable = False
-        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "probs", tuple(array.tolist()))
         object.__setattr__(self, "_array", array)
 
     @classmethod
     def uniform(cls, omega: int) -> ProbVector:
-        if omega < 1:
-            raise ValueError(f"need at least one state, got {omega!r}")
-        return cls((1.0 / omega,) * omega)
+        """Equal probabilities over ``omega`` states; ``omega`` is an integer."""
+        try:
+            count = operator.index(omega)
+        except TypeError:
+            count = None
+        # a bool is an int to operator.index, but not a number of states
+        if count is None or isinstance(omega, bool):
+            raise ValueError(f"the number of states must be an integer, got {omega!r}")
+        if count < 1:
+            raise ValueError(f"need at least one state, got {count!r}")
+        return cls((1.0 / count,) * count)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -74,19 +122,19 @@ def shannon(dist: ProbVector) -> float:
     """Boltzmann-Gibbs entropy -sum(p ln p)."""
     p = dist._array
     # + 0.0 folds the IEEE -0.0 of a delta distribution into +0.0
-    return -math.fsum((p * np.log(p)).tolist()) + 0.0
+    return -_fsum(p * np.log(p)) + 0.0
 
 
 def s_plus(dist: ProbVector) -> float:
     """Non-extensive entropy sum(1 - p**p)."""
     p = dist._array
-    return math.fsum((1.0 - p**p).tolist())
+    return _fsum(1.0 - p**p)
 
 
 def s_minus(dist: ProbVector) -> float:
     """Non-extensive entropy sum(p**(-p) - 1)."""
     p = dist._array
-    return math.fsum((p ** (-p) - 1.0).tolist())
+    return _fsum(p ** (-p) - 1.0)
 
 
 def log_plus(x: float) -> float:
@@ -113,7 +161,7 @@ def _check_q(q: float) -> float:
 def tsallis(dist: ProbVector, q: float) -> float:
     """Tsallis entropy (1 - sum(p**q)) / (q - 1)."""
     q = _check_q(q)
-    return (1.0 - math.fsum((dist._array**q).tolist())) / (q - 1.0)
+    return (1.0 - _fsum(dist._array**q)) / (q - 1.0)
 
 
 def renyi(dist: ProbVector, q: float) -> float:
@@ -127,7 +175,7 @@ def renyi(dist: ProbVector, q: float) -> float:
     q = _check_q(q)
     p = dist._array
     p_max = float(p.max())
-    scaled = math.fsum(((p / p_max) ** q).tolist())
+    scaled = _fsum((p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
 
 

@@ -70,9 +70,13 @@ QEXP_PIPELINE_RATIO = 3.0 / 8.0
 # divides by 0 nor loses digits to a subnormal divisor.
 _M_PL_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
-# Below this |alpha| the tan/tanh expressions lose digits to cancellation and
-# the cubic expansion of p(k), k(p) is exact to double precision.
+# Below this |alpha| the cubic expansion of p(k), k(p) stands in for the
+# tan/tanh expressions, but only where y = |alpha| k**2 (or |alpha| p**2) is
+# below _SMALL_Y: there the first omitted term, at most y**3/7 relative, is
+# far below double precision.  Elsewhere, and for the domain and cap checks,
+# the closed forms hold for every nonzero alpha.
 _SMALL_ALPHA = 1e-12
+_SMALL_Y = 1e-6
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,15 @@ def p_of_k(params: GupParams, k: float) -> float:
 
     ``tan(sqrt(a) k)/sqrt(a)`` for ``a > 0`` (domain ``|k| < pi/(2 sqrt(a))``),
     the tanh continuation for ``a < 0``, and the cubic expansion
-    ``k + a k**3/3 + 2 a**2 k**5/15`` for ``|a|`` below 1e-12.
+    ``k (1 + y/3 + 2 y**2/15)`` with ``y = a k**2`` where ``|a|`` is below
+    1e-12 and ``|y|`` below 1e-6.
     """
     k = _require_finite("k", k)
     a = params.alpha
     if abs(a) < _SMALL_ALPHA:
-        return k + a * k**3 / 3.0 + 2.0 * a * a * k**5 / 15.0
+        y = a * k * k
+        if abs(y) < _SMALL_Y:
+            return k * (1.0 + y / 3.0 + 2.0 * y * y / 15.0)
     if a > 0.0:
         root = math.sqrt(a)
         if abs(root * k) >= 0.5 * math.pi:
@@ -266,13 +273,16 @@ def k_of_p(params: GupParams, p: float) -> float:
     """Wavenumber as a function of the physical momentum (inverse of p_of_k).
 
     ``arctan(sqrt(a) p)/sqrt(a)`` for ``a > 0``, the artanh continuation for
-    ``a < 0`` (domain ``|p| < 1/sqrt(|a|)``), and the cubic expansion for
-    ``|a|`` below 1e-12.
+    ``a < 0`` (domain ``|p| < 1/sqrt(|a|)``), and the cubic expansion
+    ``p (1 - y/3 + y**2/5)`` with ``y = a p**2`` where ``|a|`` is below 1e-12
+    and ``|y|`` below 1e-6.
     """
     p = _require_finite("p", p)
     a = params.alpha
     if abs(a) < _SMALL_ALPHA:
-        return p - a * p**3 / 3.0 + a * a * p**5 / 5.0
+        y = a * p * p
+        if abs(y) < _SMALL_Y:
+            return p * (1.0 - y / 3.0 + y * y / 5.0)
     if a > 0.0:
         root = math.sqrt(a)
         return math.atan(root * p) / root

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import ProbVector
+from .entropy import ProbVector, _fsum
 from .errors import NumericalError
 
 __all__ = [
@@ -93,24 +93,33 @@ class GenExpFit:
     grid: str
 
 
-def _g(u: np.ndarray, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
     """Implicit equation of kind ``s`` in ``u = -ln p``, and its ``u``-derivative.
 
     ``g = 1 - u + x (1 + s (p - p u)) - exp(s p u)`` is the equation of the
     module docstring with ``ln p = -u``.  It is written with ``expm1`` so that
     the interior minus root keeps its digits where ``p`` is close to 1.
+    Returns ``(g, dg)``, or ``g`` alone when ``slope`` is false.
     """
     p = np.exp(-u)
     pu = p * u
     one_sp = 1.0 + p if s > 0 else -np.expm1(-u)
     g = -np.expm1(s * pu) - u + x * (one_sp - s * pu)
+    if not slope:
+        return g
     dg = -s * np.exp(s * pu) * (p - pu) - 1.0 - s * x * (2.0 * p - pu)
     return g, dg
 
 
+# Gathering the working arrays costs several array operations, which pays off
+# only once a fair share of the points has stopped (on fit grids, often just
+# x = 0 stops before the last round).
+_COMPACT_SHARE = 0.25
+
+
 def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
-    every ``x``, with their residuals ``|g|``.
+    every ``x`` of a 1-D array, with their residuals ``|g|``.
 
     Newton's method in ``u = -ln p``, safeguarded by bisection on the bracket
     ``[0, 2x + 2]`` (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes
@@ -118,7 +127,11 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     ``p = 1`` that the minus equation has at every ``x``.  Iteration stops
     when the step or the bracket is below a few ulps of ``max(u, 1)``, not on
     the residual: near ``p = 1`` a whole range of ``p`` has a residual below
-    any useful tolerance.
+    any useful tolerance.  A point's root is stored in the round it stops.
+    Once ``_COMPACT_SHARE`` of the working points have stopped, ``x``, ``u``
+    and the bracket shrink to the open points, so later rounds evaluate
+    only those; until then the stopped ones ride along.  Every root goes
+    through the same arithmetic as when its point is iterated alone.
     """
     x = np.asarray(x, dtype=float)
     bad = ~(np.isfinite(x) & (x >= 0.0))
@@ -133,10 +146,13 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         # capped where 2x + 2 overflows (g is negative at the cap too); the
         # bisection midpoint below halves lo and hi before adding them
         hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
+    u_root = np.empty_like(x)
+    at = np.arange(x.size)  # where the working points sit in x
+    x_work = x
     u = x.copy()
-    active = np.ones(x.shape, dtype=bool)
+    stopped = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
-        g, dg = _g(u, x, s)
+        g, dg = _g(u, x_work, s)
         lo = np.where(g > 0.0, u, lo)
         hi = np.where(g < 0.0, u, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,20 +162,30 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         done = small | (hi - lo <= ulps)
         newton = u - step
         take_newton = small | ((lo < newton) & (newton < hi))
-        u = np.where(active, np.where(take_newton, newton, 0.5 * lo + 0.5 * hi), u)
-        active &= ~done
-        if not active.any():
-            break
+        u = np.where(take_newton, newton, 0.5 * lo + 0.5 * hi)
+        stopping = done & ~stopped
+        if stopping.any():
+            u_root[at[stopping]] = u[stopping]
+            stopped |= stopping
+            count = np.count_nonzero(stopped)
+            if count == stopped.size:
+                break
+            if count >= _COMPACT_SHARE * stopped.size:
+                keep = ~stopped
+                at, x_work, u, lo, hi = at[keep], x_work[keep], u[keep], lo[keep], hi[keep]
+                stopped = np.zeros(at.size, dtype=bool)
     else:
-        raise NumericalError(f"root refinement did not converge at x = {float(x[active][0]):g}")
-    residual = np.abs(_g(u, x, s)[0])
+        raise NumericalError(
+            f"root refinement did not converge at x = {float(x_work[~stopped][0]):g}"
+        )
+    residual = np.abs(_g(u_root, x, s, slope=False))
     worst = int(np.argmax(residual))
     if residual[worst] > tol:
         raise NumericalError(
             f"root at x = {x[worst]:g} has residual {residual[worst]:g} "
             f"above the tolerance {tol:g}"
         )
-    return np.exp(-u), residual
+    return np.exp(-u_root), residual
 
 
 def _solution(x: float, s: int, tol: float) -> MaxEntSolution:
@@ -314,7 +340,7 @@ def maxent_distribution(
         with np.errstate(over="ignore"):
             xs = beta * levels
         weights = _roots(xs, _SIGN[kind], tol)[0]
-    total = math.fsum(weights.tolist())
+    total = _fsum(weights)
     # a total of 0 means every weight underflowed (never for boltzmann)
     probs = weights / total if total > 0.0 else weights
     zero = np.flatnonzero(probs == 0.0)

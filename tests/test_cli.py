@@ -223,6 +223,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "derive", "--mpl", "1e-170")[0] == 2  # m_pl**2 underflows
 
 
+@pytest.mark.parametrize("alpha0, k", [("1e-13", "1e200"), ("1e-13", "1e7")])
+def test_gup_small_alpha_past_the_domain_exits_2(alpha0, k, capsys):
+    # was an OverflowError traceback (exit 1) at 1e200 and a value at 1e7
+    code, out, err = run(capsys, "gup", "--alpha0", alpha0, "--grid", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: |k| must stay below pi/(2 sqrt(alpha))")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "entropy", "--nope")[0] == 2
 

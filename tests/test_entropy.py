@@ -1,11 +1,14 @@
 """Entropy family: frozen values, deformed-log identities, expansion structure."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from entrogup import entropy
 from entrogup.entropy import (
     ProbVector,
     log_minus,
@@ -141,8 +144,12 @@ def test_probvector_validation():
 def test_uniform_constructor():
     pv = uniform(4)
     assert pv.probs == (0.25,) * 4
-    with pytest.raises(ValueError):
+    assert uniform(np.int64(4)) == pv
+    with pytest.raises(ValueError, match="at least one state"):
         ProbVector.uniform(0)
+    for bad in (2.5, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProbVector.uniform(bad)
 
 
 def test_frozen_values():
@@ -281,3 +288,103 @@ def test_schur_concavity_two_states():
 def test_uniform_entropies_grow_with_omega(omega):
     assert s_plus(uniform(omega + 1)) > s_plus(uniform(omega))
     assert s_minus(uniform(omega + 1)) > s_minus(uniform(omega))
+
+
+# --------------------------------------------------------------------------
+# the exact-sum kernel against math.fsum over the list, its reference
+
+
+def fsum_outcome(fsum, values):
+    """The float (hex keeps the sign of zero and NaN) or the exception."""
+    try:
+        return fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_fsum_matches(values):
+    reference = fsum_outcome(lambda v: math.fsum(v.tolist()), values)
+    assert fsum_outcome(entropy._fsum, values) == reference
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(arrays(np.float64, st.integers(0, 3000), elements=finite_doubles))
+@example(np.array([]))
+@example(np.array([-0.0]))
+@example(np.array([-0.0, -0.0, -0.0]))
+@example(np.array([-0.0, 0.0]))
+@example(np.array([1.0, -1.0]))
+@example(np.array([5e-324, -5e-324, -0.0]))
+@example(np.array([1.0, 2.0**-53, 2.0**-105]))  # half-even tie across partials
+@example(np.array([np.finfo(float).max, np.finfo(float).max, -np.finfo(float).max]))
+@example(np.array([np.finfo(float).max, -np.finfo(float).max, np.finfo(float).max]))
+@settings(max_examples=300, deadline=None)
+def test_fsum_kernel_equals_math_fsum_on_finite_doubles(values):
+    assert_fsum_matches(values)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3000),
+    st.sampled_from(["bits", "subnormal", "probs", "gibbs", "plogp"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_fsum_kernel_equals_math_fsum_on_seeded_arrays(seed, n, shape):
+    rng = np.random.default_rng(seed)
+    if shape == "bits":  # every finite double alike, mixed signs, any binade
+        raw = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n,
+                           dtype=np.int64, endpoint=True)
+        values = raw.view(np.float64)
+        values = values[np.isfinite(values)]
+    elif shape == "subnormal":  # exponent field 0 or 1, mixed signs
+        raw = rng.integers(0, 1 << 53, n, dtype=np.int64)
+        values = raw.view(np.float64) * rng.choice([-1.0, 1.0], n)
+    elif shape == "probs":
+        weights = rng.random(n)
+        values = weights / weights.sum() if n else weights
+    else:
+        x = np.sort(rng.uniform(0.0, 700.0 * rng.random(), n))
+        values = np.exp(-x) / math.fsum(np.exp(-x).tolist()) if n else x
+        if shape == "plogp":
+            values = values * np.log(values)
+    assert_fsum_matches(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [math.inf],
+        [-math.inf, 1.0],
+        [math.nan, 1.0],
+        [1.0, math.inf, -math.inf],
+        [1e308, math.inf, 1e308],
+        [1e308, 1e308, math.inf],
+        [1e308, 1e308, -1e308],
+        [1e308, -1e308, 1e308],
+        [1e300] * 3000,
+        [2.0**967] * 500,  # the largest binade the kernel sums for 500 values
+        [2.0**967] * 600 + [-(2.0**967)] * 600,
+    ],
+)
+def test_fsum_kernel_non_finite_and_overflow_like_math_fsum(values):
+    assert_fsum_matches(np.array(values))
+
+
+@given(arrays(np.float64, st.integers(0, 50), elements=st.floats()))
+@settings(max_examples=200, deadline=None)
+def test_fsum_kernel_any_doubles_like_math_fsum(values):
+    assert_fsum_matches(values)
+
+
+@given(
+    arrays(np.float64, st.integers(0, 300), elements=finite_doubles),
+    st.integers(1, 9),
+)
+@settings(max_examples=200, deadline=None)
+def test_fsum_kernel_in_chunks(values, chunk):
+    # arrays longer than 2**26 are summed chunk by chunk
+    with mock.patch.object(entropy, "_FSUM_CHUNK", chunk):
+        assert_fsum_matches(values)
+        assert_fsum_matches(1.0 / (1.0 + np.abs(values)))

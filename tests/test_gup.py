@@ -281,6 +281,34 @@ def test_small_alpha_branch_is_continuous():
     assert abs(below - above) < 1e-12
 
 
+@pytest.mark.parametrize("alpha0", [1e-13, -1e-13, 5e-250])
+def test_small_alpha_uses_the_closed_forms_at_large_arguments(alpha0):
+    # the cubic expansion holds only where |alpha| k**2 is small; at
+    # alpha = 1e-13, k = 4e6 it gave 7.50e6 against tan's 1.0e7
+    root = math.sqrt(abs(alpha0))
+    closed_p = math.tan if alpha0 > 0 else math.tanh
+    closed_k = math.atan if alpha0 > 0 else math.atanh
+    params = GupParams(alpha0)
+    for scale in (1e-4, 0.3, 0.9):
+        k = scale / root
+        assert p_of_k(params, k) == pytest.approx(closed_p(root * k) / root, rel=1e-14)
+        assert k_of_p(params, k) == pytest.approx(closed_k(root * k) / root, rel=1e-14)
+
+
+def test_small_alpha_keeps_the_domain_and_cap_checks():
+    # past pi/(2 sqrt(alpha)) = 4.97e6 and the cap 1/sqrt(|alpha|) = 3.16e6
+    with pytest.raises(ValueError, match=r"\|k\| must stay below .* got 10000000\.0"):
+        p_of_k(GupParams(1e-13), 1e7)
+    with pytest.raises(ValueError, match=r"\|k\| must stay below .* got 1e\+200"):
+        p_of_k(GupParams(1e-13), 1e200)  # was an OverflowError from k**3
+    with pytest.raises(ValueError, match=r"\|p\| must stay below .* got 10000000\.0"):
+        k_of_p(GupParams(-1e-13), 1e7)
+    # no check applies at alpha = 0, and no power of k overflows
+    assert p_of_k(GupParams(0.0), 1e200) == 1e200
+    assert k_of_p(GupParams(0.0), 1e200) == 1e200
+    assert p_of_k(GupParams(-1e-13), 1e200) == pytest.approx(1.0 / math.sqrt(1e-13))
+
+
 def test_zero_deformation_is_identity():
     params = GupParams(0.0)
     assert p_of_k(params, 0.8) == 0.8

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrogup import maxent
 from entrogup.errors import NumericalError
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, tsallis_coeffs
 from entrogup.maxent import (
@@ -355,6 +356,102 @@ def test_solver_at_largest_finite_x():
     for solver in (solve_p_plus, solve_p_minus):
         solution = solver(1e308)
         assert solution.p == 0.0 and solution.residual <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# the solver against the full-array loop it replaced, its reference
+
+
+def g_loop(u, x, s):
+    p = np.exp(-u)
+    pu = p * u
+    one_sp = 1.0 + p if s > 0 else -np.expm1(-u)
+    g = -np.expm1(s * pu) - u + x * (one_sp - s * pu)
+    dg = -s * np.exp(s * pu) * (p - pu) - 1.0 - s * x * (2.0 * p - pu)
+    return g, dg
+
+
+def roots_loop(x, s, tol=1e-12):
+    """Every point iterated in every round until all have stopped."""
+    x = np.asarray(x, dtype=float)
+    lo = 0.5 * x if s < 0 else np.zeros_like(x)
+    with np.errstate(over="ignore"):
+        hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
+    u = x.copy()
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        g, dg = g_loop(u, x, s)
+        lo = np.where(g > 0.0, u, lo)
+        hi = np.where(g < 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g == 0.0, 0.0, g / dg)
+        ulps = 4.0 * np.finfo(float).eps * np.maximum(u, 1.0)
+        small = np.abs(step) <= ulps
+        done = small | (hi - lo <= ulps)
+        newton = u - step
+        take_newton = small | ((lo < newton) & (newton < hi))
+        u = np.where(active, np.where(take_newton, newton, 0.5 * lo + 0.5 * hi), u)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise NumericalError("root refinement did not converge")
+    residual = np.abs(g_loop(u, x, s)[0])
+    assert residual.max() <= tol
+    return np.exp(-u), residual
+
+
+def spectrum_x(seed, n, emax):
+    rng = np.random.default_rng([seed, n])
+    return np.array([0.0, *np.sort(rng.uniform(0.0, emax, n - 1)).tolist()])
+
+
+SOLVER_INPUTS = {
+    "edges": np.array([0.0, 1e-14, 1e-300, 5e-324, 1.0, 36.5, 800.0, 1.7e308]),
+    "log-spaced": np.concatenate([[0.0], np.logspace(-14.0, np.log10(800.0), 400)]),
+    "fit-default": default_grid(),
+    "fit-wide": np.linspace(0.0, 3.0, 1001),
+    "spectrum": spectrum_x(21, 2000, 15.0),
+    "spectrum-past-floor": spectrum_x(22, 3000, 55.0),
+    "one-point": np.array([0.7]),
+}
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
+def test_roots_bit_identical_to_full_array_loop(name, s):
+    x = SOLVER_INPUTS[name]
+    p, residual = maxent._roots(x, s, 1e-12)
+    p_ref, residual_ref = roots_loop(x, s)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(residual, residual_ref)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_roots_bit_identical_on_random_points(xs):
+    x = np.array(xs)
+    for s in (1, -1):
+        p, residual = maxent._roots(x, s, 1e-12)
+        p_ref, residual_ref = roots_loop(x, s)
+        assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_roots_evaluate_only_open_points(monkeypatch, s):
+    # The full-array loop evaluated g at every point in each of ~6 rounds plus
+    # the residual pass: 7n points on this spectrum.
+    evaluated = []
+    g = maxent._g
+
+    def counting_g(u, x, *args, **kwargs):
+        evaluated.append(x.size)
+        return g(u, x, *args, **kwargs)
+
+    monkeypatch.setattr(maxent, "_g", counting_g)
+    x = spectrum_x(21, 2000, 15.0)
+    maxent._roots(x, s, 1e-12)
+    assert sum(evaluated) < 6 * x.size
 
 
 # --------------------------------------------------------------------------
