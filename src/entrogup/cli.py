@@ -14,50 +14,13 @@ codes: 0 success, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import (
-    ProbVector,
-    renyi,
-    s_minus,
-    s_minus_equiprob_expansion,
-    s_plus,
-    s_plus_equiprob_expansion,
-    shannon,
-    tsallis,
-)
 from .errors import NumericalError
-from .gup import (
-    REFERENCE_MINUS,
-    REFERENCE_PLUS,
-    GupParams,
-    commutator_rhs,
-    deformation_pipeline,
-    p_of_k,
-    regime_summary,
-    tsallis_coeffs,
-    uncertainty_lower_bound,
-)
-from .maxent import (
-    DEFAULT_FIT_GRID,
-    _roots,
-    fit_gen_exp,
-    load_coeffs,
-    maxent_distribution,
-    save_coeffs,
-)
-from .series import MAX_ORDER
-from .superstats import (
-    GammaBetaParams,
-    boltzmann_closed,
-    boltzmann_quadrature,
-    boltzmann_series,
-)
 
 __all__ = ["main", "main_entry"]
 
@@ -161,6 +124,8 @@ def _render_csv(report: Report) -> str:
 
 
 def _render_json(report: Report) -> str:
+    import json
+
     payload: dict[str, object] = {"command": report.command}
     if report.records:
         payload["records"] = {key: _json_value(v) for key, v, _ in report.records}
@@ -230,10 +195,19 @@ def _order_or(args: argparse.Namespace, default: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (report, exit_code)
+# subcommand handlers: each returns (report, exit_code).  Each imports what it
+# calls when it runs, so that a command loads only the submodules it uses (and
+# a tracer's patches of their functions take effect).
 
 
 def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
+    from .superstats import (
+        GammaBetaParams,
+        boltzmann_closed,
+        boltzmann_quadrature,
+        boltzmann_series,
+    )
+
     tol = _tol_or(args, 1e-8)
     order = _order_or(args, 2)
     p_values = _parse_floats(args.p, "--p")
@@ -270,6 +244,17 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
+    from .entropy import (
+        ProbVector,
+        renyi,
+        s_minus,
+        s_minus_equiprob_expansion,
+        s_plus,
+        s_plus_equiprob_expansion,
+        shannon,
+        tsallis,
+    )
+
     uniform = args.probs is None
     if uniform:
         probs = ProbVector.uniform(args.omega)
@@ -302,6 +287,8 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
+    from .maxent import _roots, maxent_distribution
+
     tol = _tol_or(args, 1e-12)
     report = Report("maxent")
 
@@ -344,6 +331,14 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
+    from .maxent import (
+        DEFAULT_FIT_GRID,
+        REFERENCE_MINUS,
+        REFERENCE_PLUS,
+        fit_gen_exp,
+        save_coeffs,
+    )
+
     tol = _tol_or(args, 1e-12)
     degree = _order_or(args, 4)
     grid_text = args.grid if args.grid is not None else DEFAULT_FIT_GRID
@@ -371,6 +366,10 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
+    from .gup import GupParams, deformation_pipeline, regime_summary, tsallis_coeffs
+    from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, load_coeffs
+    from .series import MAX_ORDER
+
     order = _order_or(args, 8)
 
     if args.coeffs is not None:
@@ -429,6 +428,14 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
+    from .gup import (
+        GupParams,
+        commutator_rhs,
+        p_of_k,
+        regime_summary,
+        uncertainty_lower_bound,
+    )
+
     if args.alpha0 is None:
         raise ValueError("gup requires --alpha0 (try: entrogup gup --alpha0 0.36)")
     params = GupParams(args.alpha0, args.mpl)
@@ -517,10 +524,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Join a ``-``-led value to the flag before it: ``--alpha0=-5e-1``.
+
+    argparse reads a ``-``-led token as an option unless it looks like ``-5``
+    or ``-.5``, so ``--alpha0 -5e-1``, ``--alpha0 -inf`` or ``--grid -1:2:3``
+    would leave the flag without its value.  Every flag of a subcommand takes
+    a value and starts with ``--``, so a single-dash token after one, other
+    than ``-h``, can only be its value.  ``--``-led tokens stay options, so a
+    flag followed by another flag still gets argparse's own error.
+    """
+    flags = next((f for name, _, f, _ in _COMMANDS if argv[:1] == [name]), None)
+    if flags is None:
+        return argv
+    flags = {"--format", *flags}
+    out = argv[:1]
+    for token in argv[1:]:
+        if out[-1] in flags and token[:1] == "-" and token[:2] != "--" and token != "-h":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2

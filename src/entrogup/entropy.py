@@ -28,6 +28,10 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 
+# Largest state count ProbVector.uniform builds: each state costs ~80 bytes
+# (a float in the ``probs`` tuple, and the array), ~80 MB at this count.
+_MAX_UNIFORM_STATES = 1 << 20
+
 # np.bincount adds at most this many values into one binade's partial, whose
 # 27-bit (hi) or 26-bit (lo) significands then sum exactly in 53 bits.
 _FSUM_CHUNK = 1 << 26
@@ -96,7 +100,8 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, omega: int) -> ProbVector:
-        """Equal probabilities over ``omega`` states; ``omega`` is an integer."""
+        """Equal probabilities over ``omega`` states; ``omega`` is an integer
+        in ``[1, 2**20]``."""
         try:
             count = operator.index(omega)
         except TypeError:
@@ -106,6 +111,10 @@ class ProbVector:
             raise ValueError(f"the number of states must be an integer, got {omega!r}")
         if count < 1:
             raise ValueError(f"need at least one state, got {count!r}")
+        if count > _MAX_UNIFORM_STATES:
+            raise ValueError(
+                f"the number of states must lie in [1, {_MAX_UNIFORM_STATES}], got {count!r}"
+            )
         return cls((1.0 / count,) * count)
 
     def __len__(self) -> int:

@@ -21,7 +21,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import NumericalError
-from .maxent import AnsatzCoeffs
+# REFERENCE_* are imported only so that gup.REFERENCE_* resolves.
+from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
@@ -33,8 +34,6 @@ from .series import (
 )
 
 __all__ = [
-    "REFERENCE_PLUS",
-    "REFERENCE_MINUS",
     "QEXP_PIPELINE_RATIO",
     "GupParams",
     "RegimeSummary",
@@ -51,15 +50,6 @@ __all__ = [
     "uncertainty_lower_bound",
     "regime_summary",
 ]
-
-# Reference coefficient sets for the two deformed statistics (plus kind bends
-# the momentum relation toward a cap, minus kind toward a minimal length).
-REFERENCE_PLUS = AnsatzCoeffs(
-    (1.0, 0.000029, 0.747398, -1.205053, 1.284852), kind="plus"
-)
-REFERENCE_MINUS = AnsatzCoeffs(
-    (1.0, -0.333335, -0.586262, 0.851734, 0.893692), kind="minus"
-)
 
 # For q-exponential coefficients (a1 = 0, a2 = -(1-q)/2) the pipeline yields
 # alpha0 = (3/8)(1-q), while the linear-order q-statistics estimate is (1-q)

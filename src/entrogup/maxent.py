@@ -40,6 +40,8 @@ __all__ = [
     "save_coeffs",
     "load_coeffs",
     "DEFAULT_FIT_GRID",
+    "REFERENCE_PLUS",
+    "REFERENCE_MINUS",
 ]
 
 _KINDS = ("plus", "minus", "tsallis", "custom")
@@ -222,6 +224,15 @@ def gen_exp_eval(coeffs: AnsatzCoeffs, x: float) -> float:
         acc = acc * x + a
     return math.exp(-x) * acc
 
+
+# Reference coefficient sets for the two deformed statistics (plus kind bends
+# the momentum relation toward a cap, minus kind toward a minimal length).
+REFERENCE_PLUS = AnsatzCoeffs(
+    (1.0, 0.000029, 0.747398, -1.205053, 1.284852), kind="plus"
+)
+REFERENCE_MINUS = AnsatzCoeffs(
+    (1.0, -0.333335, -0.586262, 0.851734, 0.893692), kind="minus"
+)
 
 # Default fit window.  The coefficient sets are small-x representations: the
 # reference values match the Taylor slopes of the implicit solutions at x = 0.

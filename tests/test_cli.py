@@ -261,6 +261,52 @@ def test_missing_subcommand_exits_2(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (("gup", "--alpha0", "-5e-1", "--grid", "0.1:1:2"),
+         ("gup", "--alpha0=-5e-1", "--grid", "0.1:1:2")),
+        (("derive", "--kind", "tsallis", "--q", "-1e-3"),
+         ("derive", "--kind", "tsallis", "--q=-1e-3")),
+    ],
+)
+def test_dash_led_values_read_as_their_flag_value(spaced, joined, capsys):
+    # argparse alone takes -5e-1 for an option: "expected one argument"
+    result = run(capsys, *spaced)
+    assert result[0] == 0
+    assert result == run(capsys, *joined)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gup", "--alpha0", "-inf"), "alpha0 must be finite"),
+        (("gup", "--alpha0", "0.3", "--grid", "-1:2:3"), "wavenumbers must be positive"),
+        (("maxent", "--energies", "-1,2"), "must be finite and non-negative"),
+    ],
+)
+def test_dash_led_values_reach_the_program_checks(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_flag_missing_its_value_keeps_argparse_error(capsys):
+    code, out, err = run(capsys, "gup", "--alpha0", "--grid", "0.1:1:2")
+    assert code == 2
+    assert out == ""
+    assert "argument --alpha0: expected one argument" in err
+
+
+@pytest.mark.parametrize("omega", [str(10**12), str(10**20)])
+def test_entropy_omega_above_bound_exits_2_quietly(omega, capsys):
+    code, out, err = run(capsys, "entropy", "--omega", omega)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the number of states must lie in [1, 1048576], got {omega}\n"
+
+
 def test_out_of_domain_gup_grid_names_bound(capsys):
     code, _, err = run(capsys, "gup", "--alpha0", "0.36", "--grid", "1:4:4")
     assert code == 2

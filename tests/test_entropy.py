@@ -152,6 +152,13 @@ def test_uniform_constructor():
             ProbVector.uniform(bad)
 
 
+@pytest.mark.parametrize("omega", [10**12, 10**20, np.int64(2**62)])
+def test_uniform_refuses_counts_above_bound_before_allocating(omega):
+    # 10**12 states would need ~80 TB; the refusal comes before any allocation
+    with pytest.raises(ValueError, match=r"must lie in \[1, 1048576\]"):
+        ProbVector.uniform(omega)
+
+
 def test_frozen_values():
     assert shannon(ProbVector((0.25, 0.75))) == pytest.approx(SHANNON_QUARTER, rel=1e-14)
     assert s_plus(ProbVector((0.5, 0.5))) == pytest.approx(S_PLUS_HALF, rel=1e-14)

@@ -1,4 +1,5 @@
-"""Start-up cost: no command loads scipy, the quadrature included."""
+"""Start-up cost: each command loads only the submodules it runs, and none
+loads scipy, the quadrature included."""
 
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import entrogup
 from entrogup import superstats
 from entrogup.superstats import GammaBetaParams, boltzmann_quadrature
+from test_package import EXPORTS
 
 SRC = str(Path(entrogup.__file__).resolve().parents[1])
 
@@ -29,11 +31,27 @@ print(json.dumps({"code": code, "scipy": scipy}))
 """
 
 
-def probe(argv, cwd):
+# Imports the package, touches one export, then star-imports it; prints the
+# entrogup and numpy modules loaded after the bare import, and the namespaces.
+LAZY_PROBE = """
+import json, sys
+import entrogup
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("entrogup", "numpy"))
+entrogup.shannon
+bound = sorted(vars(entrogup))
+star = {}
+exec("from entrogup import *", star)
+star.pop("__builtins__")
+print(json.dumps({"loaded": loaded, "bound": bound, "star": sorted(star),
+                  "all": entrogup.__all__}))
+"""
+
+
+def python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(list(argv))],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -41,6 +59,11 @@ def probe(argv, cwd):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def probe(argv, cwd):
+    proc = python(["-c", PROBE, json.dumps(list(argv))], cwd)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -63,6 +86,50 @@ def test_import_loads_no_scipy(tmp_path):
 )
 def test_commands_without_quadrature_load_no_scipy(argv, tmp_path):
     assert probe(argv, tmp_path) == {"code": 0, "scipy": []}
+
+
+COMMAND_MODULES = {"entrogup", "entrogup.cli", "entrogup.errors"}
+ENTROPY_MODULES = COMMAND_MODULES | {"entrogup.entropy"}
+MAXENT_MODULES = ENTROPY_MODULES | {"entrogup.maxent"}
+GUP_MODULES = MAXENT_MODULES | {"entrogup.series", "entrogup.gup"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("boltzmann",), COMMAND_MODULES | {"entrogup.superstats"}),
+        (("entropy",), ENTROPY_MODULES),
+        (("maxent",), MAXENT_MODULES),
+        (("fit", "--coeffs", "c.txt"), MAXENT_MODULES),
+        (("derive",), GUP_MODULES),
+        (("gup", "--alpha0", "0.36"), GUP_MODULES),
+    ],
+    ids=["boltzmann", "entropy", "maxent", "fit", "derive", "gup"],
+)
+def test_command_loads_only_its_modules(argv, modules, tmp_path):
+    # run as a cold CLI call runs; -X importtime lists every module imported
+    proc = python(["-X", "importtime", "-m", "entrogup", *argv], tmp_path)
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {name for name in loaded if name.split(".")[0] == "entrogup"} == modules
+
+
+def test_package_namespace_loads_on_first_use(tmp_path):
+    out = json.loads(python(["-c", LAZY_PROBE], tmp_path).stdout)
+    # the bare import loads NumericalError and nothing else of the package
+    assert out["loaded"] == ["entrogup", "entrogup.errors"]
+    # one attribute access binds every export (what span tracers patch)
+    assert EXPORTS <= set(out["bound"])
+    assert set(out["star"]) == EXPORTS
+    assert len(out["all"]) == len(EXPORTS) and set(out["all"]) == EXPORTS
+
+
+def test_submodules_resolve_as_attributes(tmp_path):
+    out = python(["-c", "import entrogup; print(entrogup.maxent.__name__)"], tmp_path)
+    assert out.stdout == "entrogup.maxent\n"
 
 
 def test_quadrature_goes_through_module_quad(monkeypatch):
