@@ -36,27 +36,20 @@ class Report:
     """Ordered records, an optional table, and footer records."""
 
     command: str
-    records: list[tuple[str, object, str]] = field(default_factory=list)
+    records: list[tuple[str, object]] = field(default_factory=list)
     columns: list[str] = field(default_factory=list)
-    units: list[str] = field(default_factory=list)
     rows: list[list[object]] = field(default_factory=list)
-    footer: list[tuple[str, object, str]] = field(default_factory=list)
+    footer: list[tuple[str, object]] = field(default_factory=list)
 
-    def add(self, key: str, value: object, unit: str = "1") -> None:
-        self.records.append((key, value, unit))
+    def add(self, key: str, value: object) -> None:
+        self.records.append((key, value))
 
-    def add_footer(self, key: str, value: object, unit: str = "1") -> None:
-        self.footer.append((key, value, unit))
+    def add_footer(self, key: str, value: object) -> None:
+        self.footer.append((key, value))
 
-    def set_table(
-        self,
-        columns: list[str],
-        rows: list[list[object]],
-        units: list[str] | None = None,
-    ) -> None:
+    def set_table(self, columns: list[str], rows: list[list[object]]) -> None:
         self.columns = list(columns)
         self.rows = [list(row) for row in rows]
-        self.units = list(units) if units is not None else ["1"] * len(self.columns)
 
 
 def _fmt_value(value: object) -> str:
@@ -75,11 +68,8 @@ def _json_value(value: object):
     return value
 
 
-def _record_line(key: str, value: object, unit: str) -> str:
-    line = f"{key} = {_fmt_value(value)}"
-    if unit != "1":
-        line += f" [{unit}]"
-    return line
+def _record_line(key: str, value: object) -> str:
+    return f"{key} = {_fmt_value(value)}"
 
 
 def _render_text(report: Report) -> str:
@@ -108,18 +98,15 @@ def _render_csv(report: Report) -> str:
     lines: list[str] = []
     if report.rows:
         lines.extend(f"# {_record_line(*rec)}" for rec in report.records)
-        header = [
-            name if unit == "1" else f"{name}[{unit}]"
-            for name, unit in zip(report.columns, report.units)
-        ]
-        lines.append(",".join(header))
+        lines.append(",".join(report.columns))
         for row in report.rows:
             lines.append(",".join(_fmt_value(v) for v in row))
         lines.extend(f"# {_record_line(*rec)}" for rec in report.footer)
     else:
+        # Every value is dimensionless; the unit column keeps the format stable.
         lines.append("key,value,unit")
-        for key, value, unit in report.records + report.footer:
-            lines.append(f"{key},{_fmt_value(value)},{unit}")
+        for key, value in report.records + report.footer:
+            lines.append(f"{key},{_fmt_value(value)},1")
     return "\n".join(lines) + "\n"
 
 
@@ -128,14 +115,14 @@ def _render_json(report: Report) -> str:
 
     payload: dict[str, object] = {"command": report.command}
     if report.records:
-        payload["records"] = {key: _json_value(v) for key, v, _ in report.records}
+        payload["records"] = {key: _json_value(v) for key, v in report.records}
     if report.rows:
         payload["table"] = [
             {col: _json_value(v) for col, v in zip(report.columns, row)}
             for row in report.rows
         ]
     if report.footer:
-        payload["footer"] = {key: _json_value(v) for key, v, _ in report.footer}
+        payload["footer"] = {key: _json_value(v) for key, v in report.footer}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -179,21 +166,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _grid_or(args: argparse.Namespace, default: str) -> np.ndarray:
-    return _parse_grid(args.grid if args.grid is not None else default)
-
-
-def _tol_or(args: argparse.Namespace, default: float) -> float:
-    tol = default if args.tol is None else float(args.tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be positive, got {tol!r}")
-    return tol
-
-
-def _order_or(args: argparse.Namespace, default: int) -> int:
-    return default if args.order is None else args.order
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers: each returns (report, exit_code).  Each imports what it
 # calls when it runs, so that a command loads only the submodules it uses (and
@@ -208,10 +180,8 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
         boltzmann_series,
     )
 
-    tol = _tol_or(args, 1e-8)
-    order = _order_or(args, 2)
     p_values = _parse_floats(args.p, "--p")
-    energies = _grid_or(args, "0:5:11")
+    energies = _parse_grid(args.grid)
 
     report = Report("boltzmann")
     rows = []
@@ -221,18 +191,18 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
         for energy in energies:
             energy = float(energy)
             closed = boltzmann_closed(params, energy)
-            quad = boltzmann_quadrature(params, energy, tol=tol)
-            series = boltzmann_series(params, energy, order=order)
+            quad = boltzmann_quadrature(params, energy, tol=args.tol)
+            series = boltzmann_series(params, energy, order=args.order)
             diff = abs(quad - closed)
             worst = max(worst, diff / closed)
             rows.append([p, energy, closed, quad, series, diff])
     report.set_table(
-        ["p", "beta0E", "closed", "quadrature", f"series{order}", "abs_diff"], rows
+        ["p", "beta0E", "closed", "quadrature", f"series{args.order}", "abs_diff"], rows
     )
     report.add_footer("max_rel_diff", worst)
-    report.add_footer("tol", tol)
+    report.add_footer("tol", args.tol)
 
-    threshold = max(1e-7, 10.0 * tol)
+    threshold = max(1e-7, 10.0 * args.tol)
     if worst > threshold:
         print(
             f"error: closed form and quadrature disagree: relative difference "
@@ -260,7 +230,6 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
         probs = ProbVector.uniform(args.omega)
     else:
         probs = ProbVector(tuple(_parse_floats(args.probs, "--probs")))
-    q = 2.0 if args.q is None else args.q
 
     report = Report("entropy")
     if uniform:
@@ -269,10 +238,11 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("shannon", shannon(probs))
     report.add("s_plus", s_plus(probs))
     report.add("s_minus", s_minus(probs))
-    report.add("q", q)
-    report.add("tsallis", tsallis(probs, q))
-    report.add("renyi", renyi(probs, q))
-    if uniform:
+    report.add("q", args.q)
+    report.add("tsallis", tsallis(probs, args.q))
+    report.add("renyi", renyi(probs, args.q))
+    # One state has no equiprobable expansion (it needs omega >= 2).
+    if uniform and args.omega >= 2:
         for nterms in (1, 2, 3):
             report.add(
                 f"s_plus_partial{nterms}",
@@ -289,13 +259,12 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
 def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
     from .maxent import _roots, maxent_distribution
 
-    tol = _tol_or(args, 1e-12)
     report = Report("maxent")
 
     if args.energies is not None:
         energies = _parse_floats(args.energies, "--energies")
-        deformed = maxent_distribution(energies, args.beta, kind=args.kind, tol=tol)
-        reference = maxent_distribution(energies, args.beta, kind="boltzmann", tol=tol)
+        deformed = maxent_distribution(energies, args.beta, kind=args.kind, tol=args.tol)
+        reference = maxent_distribution(energies, args.beta, kind="boltzmann", tol=args.tol)
         rows = [
             [i, energies[i], deformed[i], reference[i]]
             for i in range(len(energies))
@@ -309,9 +278,9 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
         )
         return report, 0
 
-    xs = _grid_or(args, "0:3:31")
-    plus, residual_plus = _roots(xs, 1, tol)
-    minus, residual_minus = _roots(xs, -1, tol)
+    xs = _parse_grid(args.grid)
+    plus, residual_plus = _roots(xs, 1, args.tol)
+    minus, residual_minus = _roots(xs, -1, args.tol)
     rows = [
         [x, p_plus, res_plus, p_minus, res_minus, math.exp(-x)]
         for x, p_plus, res_plus, p_minus, res_minus in zip(
@@ -326,7 +295,7 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
         ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"],
         rows,
     )
-    report.add_footer("tol", tol)
+    report.add_footer("tol", args.tol)
     return report, 0
 
 
@@ -339,12 +308,8 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
         save_coeffs,
     )
 
-    tol = _tol_or(args, 1e-12)
-    degree = _order_or(args, 4)
-    grid_text = args.grid if args.grid is not None else DEFAULT_FIT_GRID
-    xs = _parse_grid(grid_text)
-
-    fit = fit_gen_exp(args.kind, degree, xs, tol=tol)
+    xs = _parse_grid(args.grid if args.grid is not None else DEFAULT_FIT_GRID)
+    fit = fit_gen_exp(args.kind, args.order, xs, tol=args.tol)
     out_path = args.coeffs if args.coeffs is not None else f"ansatz-{args.kind}.txt"
     save_coeffs(fit, out_path)
     print(f"wrote coefficients to {out_path}", file=sys.stderr)
@@ -358,11 +323,20 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
     report = Report("fit")
     report.set_table(["j", "fitted", "reference", "diff"], rows)
     report.add_footer("kind", args.kind)
-    report.add_footer("degree", degree)
+    report.add_footer("degree", args.order)
     report.add_footer("residual_rms", fit.residual)
     report.add_footer("grid", fit.grid)
     report.add_footer("coeffs_file", out_path)
     return report, 0
+
+
+def _add_regime(add, regime) -> None:
+    """Add the regime and whichever of its two scales exists, through ``add``."""
+    add("regime", regime.regime)
+    if regime.minimal_length is not None:
+        add("minimal_length", regime.minimal_length)
+    if regime.max_momentum is not None:
+        add("max_momentum", regime.max_momentum)
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
@@ -370,27 +344,24 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
     from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, load_coeffs
     from .series import MAX_ORDER
 
-    order = _order_or(args, 8)
-
     if args.coeffs is not None:
         coeffs = load_coeffs(args.coeffs).coeffs
         source = f"file:{args.coeffs}"
     elif args.kind == "tsallis" or args.q is not None:
         q = 1.0 if args.q is None else args.q
-        if order > MAX_ORDER:
+        if args.order > MAX_ORDER:
             # Refused here, by the order given: tsallis_coeffs sees only half of it.
-            raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
+            raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {args.order}")
         # Terms a_j H**j with 2j > order fall outside the truncation anyway.
-        coeffs = tsallis_coeffs(q, order=max(2, order // 2))
+        coeffs = tsallis_coeffs(q, order=max(2, args.order // 2))
         source = "tsallis"
     elif args.kind == "plus":
         coeffs, source = REFERENCE_PLUS, "builtin:plus"
     else:
         coeffs, source = REFERENCE_MINUS, "builtin:minus"
 
-    result = deformation_pipeline(coeffs, order=order)
+    result = deformation_pipeline(coeffs, order=args.order)
     params = GupParams(result.alpha0_pipeline, args.mpl)
-    regime = regime_summary(params)
 
     report = Report("derive")
     report.add("source", source)
@@ -405,11 +376,7 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("discrepancy", result.discrepancy)
     report.add("m_pl", params.m_pl)
     report.add("alpha", params.alpha)
-    report.add("regime", regime.regime)
-    if regime.minimal_length is not None:
-        report.add("minimal_length", regime.minimal_length)
-    if regime.max_momentum is not None:
-        report.add("max_momentum", regime.max_momentum)
+    _add_regime(report.add, regime_summary(params))
     if coeffs.kind == "tsallis":
         nominal = 1.0 - coeffs.q
         report.add("q", coeffs.q)
@@ -439,7 +406,7 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
     if args.alpha0 is None:
         raise ValueError("gup requires --alpha0 (try: entrogup gup --alpha0 0.36)")
     params = GupParams(args.alpha0, args.mpl)
-    ks = _grid_or(args, "0.1:1:10")
+    ks = _parse_grid(args.grid)
 
     rows = []
     for k in ks:
@@ -453,15 +420,10 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
     report = Report("gup")
     report.set_table(["k", "p", "commutator", "dx_bound"], rows)
 
-    regime = regime_summary(params)
     report.add_footer("alpha0", params.alpha0)
     report.add_footer("m_pl", params.m_pl)
     report.add_footer("alpha", params.alpha)
-    report.add_footer("regime", regime.regime)
-    if regime.minimal_length is not None:
-        report.add_footer("minimal_length", regime.minimal_length)
-    if regime.max_momentum is not None:
-        report.add_footer("max_momentum", regime.max_momentum)
+    _add_regime(report.add_footer, regime_summary(params))
     return report, 0
 
 
@@ -469,45 +431,68 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
 # parser
 
 
-# Every flag of the CLI; each subcommand takes ``--format`` and the flags its
-# handler reads.
+# Every flag of the CLI.  Defaults are per subcommand, in _COMMANDS, and a
+# "(default: ...)" in a help text is filled in from there.
 _FLAGS: dict[str, dict[str, object]] = {
     "--format": dict(
-        choices=("text", "csv", "json"), default="text", help="output format (default: text)"
+        choices=("text", "csv", "json"), help="output format (default: %(default)s)"
     ),
-    "--tol": dict(type=float, default=None, help="numerical tolerance"),
-    "--order": dict(type=int, default=None, help="series order / fit degree"),
-    "--grid": dict(default=None, help="evaluation grid 'start:stop:count'"),
-    "--coeffs": dict(default=None, help="coefficient file (fit output, derive input)"),
+    "--tol": dict(type=float, help="numerical tolerance"),
+    "--order": dict(type=int, help="series order / fit degree"),
+    "--grid": dict(help="evaluation grid 'start:stop:count'"),
+    "--coeffs": dict(help="coefficient file (fit output, derive input)"),
     "--kind": dict(
         choices=("plus", "minus", "tsallis"),
-        default="plus",
-        help="which statistics to use (default: plus)",
+        help="which statistics to use (default: %(default)s)",
     ),
-    "--q": dict(type=float, default=None, help="entropic index for q-statistics"),
-    "--alpha0": dict(type=float, default=None, help="dimensionless deformation parameter"),
-    "--mpl": dict(type=float, default=1.0, help="scale dividing alpha0 (default: 1)"),
-    "--p": dict(default="0.2", help="comma-separated variance parameters (default: 0.2)"),
-    "--omega": dict(type=int, default=4, help="equiprobable outcome count (default: 4)"),
-    "--probs": dict(default=None, help="comma-separated probabilities (overrides --omega)"),
-    "--energies": dict(default=None, help="comma-separated level energies"),
-    "--beta": dict(type=float, default=1.0, help="inverse temperature (default: 1)"),
+    "--q": dict(type=float, help="entropic index for q-statistics"),
+    "--alpha0": dict(type=float, help="dimensionless deformation parameter"),
+    "--mpl": dict(type=float, help="scale dividing alpha0 (default: %(default)g)"),
+    "--p": dict(help="comma-separated variance parameters (default: %(default)s)"),
+    "--omega": dict(type=int, help="equiprobable outcome count (default: %(default)s)"),
+    "--probs": dict(help="comma-separated probabilities (overrides --omega)"),
+    "--energies": dict(help="comma-separated level energies"),
+    "--beta": dict(type=float, help="inverse temperature (default: %(default)g)"),
 }
 
-_COMMANDS = (
-    ("boltzmann", _cmd_boltzmann, ("--p", "--grid", "--tol", "--order"),
-     "compare closed-form, quadrature, and expansion Boltzmann factors"),
-    ("entropy", _cmd_entropy, ("--omega", "--probs", "--q"),
-     "entropy family of a distribution"),
-    ("maxent", _cmd_maxent, ("--energies", "--beta", "--kind", "--grid", "--tol"),
-     "implicit maximum-entropy solutions or a discrete distribution"),
-    ("fit", _cmd_fit, ("--kind", "--order", "--grid", "--tol", "--coeffs"),
-     "fit generalized-exponential coefficients to the implicit solution"),
-    ("derive", _cmd_derive, ("--coeffs", "--kind", "--q", "--order", "--mpl"),
-     "deformation parameter from coefficients (file, --q, or built-in)"),
-    ("gup", _cmd_gup, ("--alpha0", "--mpl", "--grid"),
-     "evaluate the deformed uncertainty relation"),
-)
+# Each subcommand: handler, help text, and its flags besides --format with
+# their defaults.  A None default means "not given", which the handler reads as
+# a choice rather than a value: derive's --q then leaves the kind to --kind, and
+# fit's --grid is maxent.DEFAULT_FIT_GRID, read at run time so that boltzmann
+# and entropy never load maxent.
+_COMMANDS: dict[str, tuple] = {
+    "boltzmann": (
+        _cmd_boltzmann,
+        "compare closed-form, quadrature, and expansion Boltzmann factors",
+        {"--p": "0.2", "--grid": "0:5:11", "--tol": 1e-8, "--order": 2},
+    ),
+    "entropy": (
+        _cmd_entropy,
+        "entropy family of a distribution",
+        {"--omega": 4, "--probs": None, "--q": 2.0},
+    ),
+    "maxent": (
+        _cmd_maxent,
+        "implicit maximum-entropy solutions or a discrete distribution",
+        {"--energies": None, "--beta": 1.0, "--kind": "plus", "--grid": "0:3:31",
+         "--tol": 1e-12},
+    ),
+    "fit": (
+        _cmd_fit,
+        "fit generalized-exponential coefficients to the implicit solution",
+        {"--kind": "plus", "--order": 4, "--grid": None, "--tol": 1e-12, "--coeffs": None},
+    ),
+    "derive": (
+        _cmd_derive,
+        "deformation parameter from coefficients (file, --q, or built-in)",
+        {"--coeffs": None, "--kind": "plus", "--q": None, "--order": 8, "--mpl": 1.0},
+    ),
+    "gup": (
+        _cmd_gup,
+        "evaluate the deformed uncertainty relation",
+        {"--alpha0": None, "--mpl": 1.0, "--grid": "0.1:1:10"},
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -516,10 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entropy-driven momentum-space deformation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, flags, help_text in _COMMANDS:
+    for name, (handler, help_text, defaults) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for flag in ("--format", *flags):
-            command.add_argument(flag, **_FLAGS[flag])
+        for flag, default in {"--format": "text", **defaults}.items():
+            command.add_argument(flag, default=default, **_FLAGS[flag])
         command.set_defaults(handler=handler)
     return parser
 
@@ -534,10 +519,9 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     than ``-h``, can only be its value.  ``--``-led tokens stay options, so a
     flag followed by another flag still gets argparse's own error.
     """
-    flags = next((f for name, _, f, _ in _COMMANDS if argv[:1] == [name]), None)
-    if flags is None:
+    if not argv or argv[0] not in _COMMANDS:
         return argv
-    flags = {"--format", *flags}
+    flags = {"--format", *_COMMANDS[argv[0]][2]}
     out = argv[:1]
     for token in argv[1:]:
         if out[-1] in flags and token[:1] == "-" and token[:2] != "--" and token != "-h":
@@ -555,6 +539,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
     try:
+        # Checked before the handler reads any other argument.
+        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValueError(f"--tol must be positive, got {args.tol!r}")
         report, exit_code = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

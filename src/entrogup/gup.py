@@ -60,13 +60,12 @@ QEXP_PIPELINE_RATIO = 3.0 / 8.0
 # divides by 0 nor loses digits to a subnormal divisor.
 _M_PL_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
-# Below this |alpha| the cubic expansion of p(k), k(p) stands in for the
-# tan/tanh expressions, but only where y = |alpha| k**2 (or |alpha| p**2) is
-# below _SMALL_Y: there the first omitted term, at most y**3/7 relative, is
-# far below double precision.  Elsewhere, and for the domain and cap checks,
-# the closed forms hold for every nonzero alpha.
-_SMALL_ALPHA = 1e-12
-_SMALL_Y = 1e-6
+# p_of_k and k_of_p are f(z)/sqrt(|alpha|) with z = sqrt(|alpha|) k and f one
+# of tan, tanh, atan, atanh.  Below this |z|, f(z)/z = 1 +- z**2/3 + ... is 1
+# to within a quarter ulp, so k itself is the correctly rounded result, while
+# the formula would carry the rounding of z (and of libm's tanh, which can be
+# an ulp off there).  This also takes in alpha = 0 and a z that underflows.
+_UNIT_RATIO_Z = 2.0**-27
 
 
 @dataclass(frozen=True)
@@ -236,53 +235,47 @@ def _require_finite(name: str, value: float) -> float:
 def p_of_k(params: GupParams, k: float) -> float:
     """Physical momentum as a function of the wavenumber.
 
-    ``tan(sqrt(a) k)/sqrt(a)`` for ``a > 0`` (domain ``|k| < pi/(2 sqrt(a))``),
-    the tanh continuation for ``a < 0``, and the cubic expansion
-    ``k (1 + y/3 + 2 y**2/15)`` with ``y = a k**2`` where ``|a|`` is below
-    1e-12 and ``|y|`` below 1e-6.
+    ``tan(sqrt(a) k)/sqrt(a)`` for ``a > 0`` (domain ``|k| < pi/(2 sqrt(a))``)
+    and the tanh continuation for ``a < 0``; ``k`` itself where
+    ``sqrt(|a|) |k|`` is below 2**-27, which takes in ``a = 0``.
     """
     k = _require_finite("k", k)
     a = params.alpha
-    if abs(a) < _SMALL_ALPHA:
-        y = a * k * k
-        if abs(y) < _SMALL_Y:
-            return k * (1.0 + y / 3.0 + 2.0 * y * y / 15.0)
-    if a > 0.0:
-        root = math.sqrt(a)
-        if abs(root * k) >= 0.5 * math.pi:
-            raise ValueError(
-                f"|k| must stay below pi/(2 sqrt(alpha)) = {0.5 * math.pi / root:g}, "
-                f"got {k!r}"
-            )
-        return math.tan(root * k) / root
-    root = math.sqrt(-a)
-    return math.tanh(root * k) / root
+    root = math.sqrt(abs(a))
+    z = root * k
+    if abs(z) < _UNIT_RATIO_Z:
+        return k
+    if a < 0.0:
+        return math.tanh(z) / root
+    if abs(z) >= 0.5 * math.pi:
+        raise ValueError(
+            f"|k| must stay below pi/(2 sqrt(alpha)) = {0.5 * math.pi / root:g}, "
+            f"got {k!r}"
+        )
+    return math.tan(z) / root
 
 
 def k_of_p(params: GupParams, p: float) -> float:
     """Wavenumber as a function of the physical momentum (inverse of p_of_k).
 
-    ``arctan(sqrt(a) p)/sqrt(a)`` for ``a > 0``, the artanh continuation for
-    ``a < 0`` (domain ``|p| < 1/sqrt(|a|)``), and the cubic expansion
-    ``p (1 - y/3 + y**2/5)`` with ``y = a p**2`` where ``|a|`` is below 1e-12
-    and ``|y|`` below 1e-6.
+    ``arctan(sqrt(a) p)/sqrt(a)`` for ``a > 0`` and the artanh continuation for
+    ``a < 0`` (domain ``|p| < 1/sqrt(|a|)``); ``p`` itself where
+    ``sqrt(|a|) |p|`` is below 2**-27.
     """
     p = _require_finite("p", p)
     a = params.alpha
-    if abs(a) < _SMALL_ALPHA:
-        y = a * p * p
-        if abs(y) < _SMALL_Y:
-            return p * (1.0 - y / 3.0 + y * y / 5.0)
+    root = math.sqrt(abs(a))
+    z = root * p
+    if abs(z) < _UNIT_RATIO_Z:
+        return p
     if a > 0.0:
-        root = math.sqrt(a)
-        return math.atan(root * p) / root
-    root = math.sqrt(-a)
-    if abs(root * p) >= 1.0:
+        return math.atan(z) / root
+    if abs(z) >= 1.0:
         raise ValueError(
             f"|p| must stay below the momentum cap 1/sqrt(|alpha|) = {1.0 / root:g}, "
             f"got {p!r}"
         )
-    return math.atanh(root * p) / root
+    return math.atanh(z) / root
 
 
 def commutator_rhs(params: GupParams, p: float) -> float:

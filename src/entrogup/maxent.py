@@ -18,6 +18,7 @@ performs that least-squares compression over an ``x`` grid.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -274,8 +275,8 @@ def fit_gen_exp(
     if kind not in ("plus", "minus"):
         raise ValueError(f"fit kind must be 'plus' or 'minus', got {kind!r}")
     try:
-        degree = int(degree)
-    except (TypeError, ValueError):
+        degree = operator.index(degree)
+    except TypeError:
         raise ValueError(f"degree must be an integer, got {degree!r}") from None
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")

@@ -328,9 +328,14 @@ def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> 
     if not (math.isfinite(energy) and energy >= 0.0):
         raise ValueError(f"energy must be non-negative, got {energy!r}")
     x = params.beta0 * energy
+    weight = math.exp(-x)
+    # Past x ~ 745 the weight underflows to 0, while the correction can reach
+    # inf (a NaN product) or overflow in x**3.
+    if weight == 0.0:
+        return 0.0
     correction = 1.0
     if order >= 1:
         correction += 0.5 * params.p * x * x
     if order >= 2:
         correction += params.p * params.p * x**3 * (x / 8.0 - 1.0 / 3.0)
-    return math.exp(-x) * correction
+    return weight * correction

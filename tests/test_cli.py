@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from entrogup.cli import main
+from entrogup.maxent import DEFAULT_FIT_GRID
 
 PUBLISHED_PLUS = -0.560565
 PUBLISHED_MINUS = 0.361022
@@ -44,6 +45,14 @@ def test_entropy_defaults(capsys):
     assert code == 0
     assert "s_plus = 1.17157288" in out
     assert "s_plus_partial3 = 1.17381991" in out
+
+
+def test_entropy_single_state(capsys):
+    # one state has entropies but no equiprobable expansion (was exit 2)
+    code, out, err = run(capsys, "entropy", "--omega", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("omega = 1\nn_outcomes = 1\n")
+    assert "partial" not in out
 
 
 def test_entropy_delta_distribution(capsys):
@@ -290,6 +299,43 @@ def test_dash_led_values_reach_the_program_checks(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "bare, spelled",
+    [
+        (["boltzmann"], ["boltzmann", "--p", "0.2", "--grid", "0:5:11", "--tol", "1e-8",
+                         "--order", "2"]),
+        (["entropy"], ["entropy", "--omega", "4", "--q", "2.0"]),
+        (["maxent"], ["maxent", "--beta", "1.0", "--kind", "plus", "--grid", "0:3:31",
+                      "--tol", "1e-12"]),
+        (["fit", "--coeffs", "c.txt"], ["fit", "--kind", "plus", "--order", "4",
+                                        "--grid", DEFAULT_FIT_GRID, "--tol", "1e-12",
+                                        "--coeffs", "c.txt"]),
+        (["derive"], ["derive", "--kind", "plus", "--order", "8", "--mpl", "1.0"]),
+        (["gup", "--alpha0", "0.36"], ["gup", "--alpha0", "0.36", "--mpl", "1.0",
+                                       "--grid", "0.1:1:10"]),
+    ],
+)
+def test_defaults_match_their_spelled_out_values(bare, spelled, capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("text", "csv", "json"):
+        expected = run(capsys, *spelled, "--format", fmt)
+        assert expected[0] == 0
+        assert run(capsys, *bare, "--format", fmt) == expected
+    assert run(capsys, *bare) == run(capsys, *spelled, "--format", "text")
+
+
+@pytest.mark.parametrize("command", ["boltzmann", "maxent", "fit"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(command, tol, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # the tolerance is checked before any other argument is read
+    code, out, err = run(capsys, command, "--grid", "bad", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be positive, got {float(tol)!r}\n"
+    assert not list(tmp_path.iterdir())  # fit wrote no coefficient file
 
 
 def test_flag_missing_its_value_keeps_argparse_error(capsys):

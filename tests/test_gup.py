@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -307,6 +308,61 @@ def test_small_alpha_keeps_the_domain_and_cap_checks():
     assert p_of_k(GupParams(0.0), 1e200) == 1e200
     assert k_of_p(GupParams(0.0), 1e200) == 1e200
     assert p_of_k(GupParams(-1e-13), 1e200) == pytest.approx(1.0 / math.sqrt(1e-13))
+
+
+def _worst_ulp_error(sign, log_alpha, ks):
+    """Largest error of p_of_k and k_of_p, in ulps of 40-digit mpmath values."""
+    maps = [(p_of_k, mpmath.tan if sign > 0 else mpmath.tanh),
+            (k_of_p, mpmath.atan if sign > 0 else mpmath.atanh)]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for log_a, k in zip(log_alpha, ks):
+            params = GupParams(sign * 10.0**log_a)
+            root = mpmath.sqrt(abs(mpmath.mpf(params.alpha)))
+            for func, exact in maps:
+                try:
+                    value = func(params, float(k))
+                except ValueError:  # past the domain or the cap
+                    continue
+                reference = exact(root * float(k)) / root
+                error = abs(value - reference) / math.ulp(float(reference))
+                worst = max(worst, float(error))
+    return worst
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_momentum_maps_within_2_ulp_of_mpmath(sign):
+    # |alpha| log-uniform in [1e-320, 1e2] and |k| in [1e-300, 10], both signs
+    rng = np.random.default_rng(2024)
+    log_alpha = rng.uniform(-320, 2, 400)
+    ks = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-300, 1, 400)
+    assert _worst_ulp_error(sign, log_alpha, ks) <= 2.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_momentum_maps_within_3_ulp_of_mpmath_where_z_is_not_tiny(sign):
+    # z = sqrt(|alpha|) k log-uniform in [1e-8, 0.5], where neither map is k
+    # itself; libm's tanh is up to ~1.5 ulp off here, hence 3 ulp, not 2
+    rng = np.random.default_rng(2025)
+    log_alpha = rng.uniform(-320, 2, 400)
+    zs = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-8, math.log10(0.5), 400)
+    ks = zs / np.sqrt(10.0**log_alpha)
+    assert _worst_ulp_error(sign, log_alpha, ks) <= 3.0
+
+
+@pytest.mark.parametrize("alpha0, k", [(0.0, 0.7), (-0.0, 0.7), (1e-300, 1e-170),
+                                       (-1e-300, 1e-170), (1e-320, -3.0)])
+def test_momentum_maps_return_k_where_the_deformation_vanishes(alpha0, k):
+    params = GupParams(alpha0)
+    assert p_of_k(params, k) == k
+    assert k_of_p(params, k) == k
+
+
+def test_saturated_maps_keep_their_limit():
+    # sqrt(|alpha|) k overflows: tanh and atan have reached their limits
+    assert p_of_k(GupParams(-1e100), 1e260) == pytest.approx(1e-50, rel=1e-15)
+    assert k_of_p(GupParams(1e100), -1e260) == pytest.approx(-0.5 * math.pi * 1e-50,
+                                                             rel=1e-15)
 
 
 def test_zero_deformation_is_identity():

@@ -250,6 +250,18 @@ def test_fit_validation():
         fit_gen_exp("plus", 4, [0.1, 0.1, 0.1, 0.1, 0.1])  # not distinct
 
 
+@pytest.mark.parametrize("degree", [2.9, "4", 4.0, None])
+def test_fit_degree_must_be_an_integer(degree):
+    # int() used to truncate 2.9 to 2 and parse "4"
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        fit_gen_exp("plus", degree, np.linspace(0.0, 1.0, 31))
+
+
+def test_fit_degree_takes_numpy_integers():
+    grid = np.linspace(0.0, 1.0, 31)
+    assert fit_gen_exp("plus", np.int64(4), grid) == fit_gen_exp("plus", 4, grid)
+
+
 # --------------------------------------------------------------------------
 # distributions over energy levels
 

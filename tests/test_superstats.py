@@ -269,6 +269,19 @@ def test_series_orders():
         boltzmann_series(params, x, order=3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "beta0, energy",
+    [(1.0, 1.3e154), (1.0, 1e102), (1.0, 5.6e102), (1.0, 1e300), (1e300, 1e300)],
+)
+def test_series_is_zero_where_the_weight_underflows(order, beta0, energy):
+    # was NaN (0 * inf) at order 1 from x ~ 1.3e154 and at order 2 from
+    # x ~ 1e102, and an OverflowError from x**3 at order 2 past x ~ 5.6e102;
+    # x = beta0 * E = inf in the last case
+    assert boltzmann_series(GammaBetaParams(0.5, beta0), energy, order=order) == 0.0
+
+
 @given(
     st.floats(min_value=0.001, max_value=0.05),
     st.floats(min_value=0.0, max_value=1.5),
