@@ -25,6 +25,9 @@ from .errors import NumericalError
 __all__ = ["main", "main_entry"]
 
 _FLOAT_FMT = ".9g"
+# Largest grid count, checked before the grid is allocated (the limit
+# ProbVector.uniform puts on the number of states).
+_MAX_GRID_COUNT = 1 << 20
 
 
 # --------------------------------------------------------------------------
@@ -141,15 +144,15 @@ def _parse_grid(text: str) -> np.ndarray:
             values = np.array([float(parts[0])])
         elif len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
+            if not 1 <= count <= _MAX_GRID_COUNT:
                 raise ValueError
             values = np.linspace(start, stop, count)
         else:
             raise ValueError
     except ValueError:
         raise ValueError(
-            f"grid must be 'start:stop:count' with count >= 1, or a single "
-            f"number, got {text!r}"
+            f"grid must be 'start:stop:count' with count in [1, {_MAX_GRID_COUNT}], "
+            f"or a single number, got {text!r}"
         ) from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"grid endpoints must be finite, got {text!r}")

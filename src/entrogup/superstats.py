@@ -10,11 +10,13 @@ The quadrature is the module's own ``quad``: QUADPACK's 21-point
 Gauss-Kronrod rule in numpy, applied adaptively.  Its first panels narrow
 geometrically toward a lower limit of 0, where ``t**(1/p - 1)`` is not smooth;
 each round evaluates the integrand once on every open panel (21 nodes each)
-and bisects the panels whose error estimate is above their share of the
-requested relative error.  ``boltzmann_quadrature`` makes at most two
-``quad`` calls: ``[0, T0]`` from a first upper limit, and, if the analytic tail
-bound there is too large, ``[T0, T]`` with ``T`` placed by Newton steps on the
-logarithm of that bound.
+and bisects the panels whose error estimate is above both their share of the
+requested relative error and its rounding floor.  ``boltzmann_quadrature`` makes one ``quad`` call
+per point, over ``[0, T]``.  It places ``T`` before integrating, by Newton
+steps on the logarithm of the analytic tail bound, against the lower bound
+``exp(-beta0*E)`` that Jensen's inequality gives the value.  The density and
+the integrand share one log-density, written in ``beta/beta0`` so that no two
+of its terms of size ~1/p cancel.
 """
 
 from __future__ import annotations
@@ -54,18 +56,33 @@ class GammaBetaParams:
             raise ValueError(f"beta0 must be positive and finite, got {self.beta0!r}")
 
 
-def _lgamma_shape(p: float) -> float:
-    """``ln Gamma(1/p)``; a ``NumericalError`` where it overflows (p below ~3.9e-306)."""
+def _log_norm(p: float) -> float:
+    """``B = s ln s - s - ln Gamma(s)`` at ``s = 1/p``, the constant of the Gamma
+    log-density in ``r = beta/beta0``:
+    ``s (ln r - (r - 1)) - ln r - ln beta0 + B``.
+
+    No pair of its terms of size ~s cancels.  Near ``r = 1``, where the factor
+    ``s`` amplifies it, the error of ``ln r`` is relative to ``r - 1``.  Raises
+    a ``NumericalError`` where ``ln Gamma(1/p)`` overflows (p below ~3.9e-306).
+    """
+    shape = 1.0 / p
     try:
-        value = math.lgamma(1.0 / p)
+        lgam = math.lgamma(shape)
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
+        lgam = math.inf
+    if lgam == math.inf:
         raise NumericalError(
             f"ln Gamma(1/p) overflows at p = {p!r}: the spread is too small to "
             "represent the Gamma density"
         )
-    return value
+    if shape < 20.0:
+        return shape * math.log(shape) - shape - lgam
+    # Stirling's series: B = ln(shape/2 pi)/2 - 1/(12 shape) + 1/(360 shape^3) - ...
+    u = 1.0 / shape
+    v = u * u
+    return 0.5 * math.log(shape / (2.0 * math.pi)) - u * (
+        1.0 / 12.0 - v * (1.0 / 360.0 - v * (1.0 / 1260.0 - v / 1680.0))
+    )
 
 
 def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
@@ -97,20 +114,7 @@ def gamma_pdf(params: GammaBetaParams, beta: float) -> float:
     if beta == 0.0:
         # Finite only in the exponential limit p = 1 (shape 1).
         return 1.0 / (params.p * params.beta0) if shape == 1.0 else 0.0
-    lgam = _lgamma_shape(params.p)  # also refuses a p where it overflows
-    # In r = beta/beta0 the log density is
-    # shape (ln r - (r - 1)) - ln r - ln beta0 + B,  B = shape ln shape - shape - lgam,
-    # which has no pair of terms of size ~shape that cancel.  Near r = 1, where
-    # the factor shape amplifies it, the error of ln r is relative to r - 1.
-    if shape < 20.0:
-        b = shape * math.log(shape) - shape - lgam
-    else:
-        # Stirling's series: B = ln(shape/2 pi)/2 - 1/(12 shape) + 1/(360 shape^3) - ...
-        u = 1.0 / shape
-        v = u * u
-        b = 0.5 * math.log(shape / (2.0 * math.pi)) - u * (
-            1.0 / 12.0 - v * (1.0 / 360.0 - v * (1.0 / 1260.0 - v / 1680.0))
-        )
+    b = _log_norm(params.p)
     r = beta / params.beta0
     if sys.float_info.min <= r < math.inf:
         ln_r = math.log(r)
@@ -181,8 +185,9 @@ _RULES = np.stack((_MEAN, 200.0 * (_MEAN - 0.5 * _GAUSS)), axis=1)
 _FLOOR = 50.0 * float(np.finfo(float).eps) * _MEAN
 _TINY = float(np.finfo(float).tiny)
 
-# Initial panels of [0, b], in units of b: [0, 4**-16], [4**-16, 4**-15], ...,
-# [1/4, 1], narrowing toward 0, where t**(1/p - 1) is not smooth.
+# Initial panels of [a, b], in units of b - a from a: [0, 4**-16],
+# [4**-16, 4**-15], ..., [1/4, 1], narrowing toward a = 0, where t**(1/p - 1)
+# is not smooth.
 _GRADED = np.concatenate(([0.0], 0.25 ** np.arange(16, -1, -1)))
 _GRADED_LO, _GRADED_WIDTH = _GRADED[:-1], np.diff(_GRADED)
 # Work limits of ``quad``; past them it returns its current error estimate.
@@ -190,47 +195,48 @@ _MAX_ROUNDS = 60
 _MAX_PANELS = 2000
 
 
-def _qk21(func, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of ``func`` and QUADPACK's error estimate of that mean on each
-    panel ``[lo, lo + width]``; times ``width`` they are integral and error."""
+def _qk21(func, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean of ``func``, QUADPACK's error estimate of that mean, and the
+    rounding floor of that estimate on each panel ``[lo, lo + width]``; times
+    ``width`` they are integral, error and floor."""
     f = func(lo[:, None] + width[:, None] * _UNIT)
     mean, diff = f.dot(_RULES).T
     asc = np.abs(f - mean[:, None]).dot(_MEAN)
     # asc = 0 only where f is 0 on the whole panel, and then so is diff.
     err = asc * np.minimum(1.0, np.abs(diff) / (asc + _TINY)) ** 1.5
-    return mean, np.maximum(err, np.abs(f).dot(_FLOOR))
+    floor = np.abs(f).dot(_FLOOR)
+    return mean, np.maximum(err, floor), floor
 
 
 def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
     """Adaptive 21-point Gauss-Kronrod integral of ``func`` over ``[a, b]``.
 
     ``func`` maps an array of abscissae to an array of values.  Returns the
-    integral and an estimate of its absolute error.  With ``a = 0`` the
-    initial panels narrow geometrically toward 0, otherwise ``[a, b]`` is one
-    panel.  Each round evaluates every open panel in one ``func`` call, stops
-    once the summed error estimate is at most ``epsrel * |integral|``, and
-    otherwise bisects the panels whose estimate is above their length's share
-    of that bound (and the worst panel); the others are closed.  Past
-    ``_MAX_ROUNDS`` rounds or ``_MAX_PANELS`` open panels it returns the
-    estimate it has, so callers compare the error with their tolerance.
+    integral and an estimate of its absolute error.  The initial panels narrow
+    geometrically toward ``a``.  Each round evaluates every open panel in one
+    ``func`` call, stops once the summed error estimate is at most
+    ``epsrel * |integral|``, and otherwise bisects the panels whose estimate
+    is above both their length's share of that bound and its rounding floor
+    (and the worst panel); the others are closed.  Past ``_MAX_ROUNDS``
+    rounds or ``_MAX_PANELS`` open panels it returns the estimate it has, so
+    callers compare the error with their tolerance.
 
     ``boltzmann_quadrature`` looks it up as a module global, so a wrapper
     patched in here sees every integrator call.
     """
-    if a == 0.0:
-        lo, width = b * _GRADED_LO, b * _GRADED_WIDTH
-    else:
-        lo, width = np.array([a]), np.array([b - a])
+    lo, width = a + (b - a) * _GRADED_LO, (b - a) * _GRADED_WIDTH
     closed_value = closed_err = 0.0
     for _ in range(_MAX_ROUNDS):
-        mean, err = _qk21(func, lo, width)
+        mean, err, floor = _qk21(func, lo, width)
         total = closed_value + float(width.dot(mean))
         error = closed_err + float(width.dot(err))
         bound = epsrel * abs(total)
         if error <= bound or width.size > _MAX_PANELS:
             break
-        # err is per unit length: err * width > bound * width / (b - a)
-        split = (err > bound / (b - a)) | (err == err.max())
+        # err is per unit length: err * width > bound * width / (b - a).  A
+        # panel at its rounding floor keeps that floor per unit length when
+        # bisected, so it is split only as the worst panel.
+        split = ((err > bound / (b - a)) & (err > floor)) | (err == err.max())
         keep = ~split
         closed_value += float(width[keep].dot(mean[keep]))
         closed_err += float(width[keep].dot(err[keep]))
@@ -247,10 +253,11 @@ def boltzmann_quadrature(
     Integrates ``gamma_pdf(beta) * exp(-beta*E)`` over the substitution
     ``t = beta / (p*beta0)``, which turns the integrand into
     ``t**(1/p - 1) * exp(-c*t) / Gamma(1/p)`` with ``c = 1 + p*beta0*E``.
-    It integrates ``[0, T0]`` with ``T0 = max(2(1/p - 1)/c, 1)``, past which the
-    dropped tail is at most ``integrand(T) * 2/c``.  If that bound at ``T0`` is
-    above ``tol/10`` relative to the value, Newton steps place ``T`` where the
-    bound is ``tol/100`` relative, and ``[T0, T]`` is the second and last piece.
+    It makes one ``quad`` call, over ``[0, T]``.  Past
+    ``T0 = max(2(1/p - 1)/c, 1)`` the dropped tail is at most
+    ``integrand(T) * 2/c``, and by Jensen's inequality the value is at least
+    ``exp(-beta0*E)``; starting from ``T0``, up to three Newton steps place
+    ``T`` where the bound is ``tol/100`` relative to that lower bound.
 
     Parameters
     ----------
@@ -271,41 +278,45 @@ def boltzmann_quadrature(
         raise ValueError(f"energy must be non-negative, got {energy!r}")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    shape = 1.0 / params.p
-    c = 1.0 + params.p * params.beta0 * energy
-    lgam = _lgamma_shape(params.p)
+    p, shape = params.p, 1.0 / params.p
+    x = params.beta0 * energy
+    c = 1.0 + p * params.beta0 * energy
+    offset = _log_norm(p) - math.log(shape)
+
+    def log_integrand(t):
+        # the Gamma log-density of gamma_pdf in r = beta/beta0 = p t, times
+        # exp(-x r), in units of t
+        r = p * t
+        ln_r = np.log(r)
+        return shape * (ln_r - (r - 1.0)) - ln_r - x * r + offset
 
     def integrand(t):
-        return np.exp((shape - 1.0) * np.log(t) - c * t - lgam)
+        return np.exp(log_integrand(t))
 
     # Past T0 = 2(shape-1)/c the exponent decays at least like exp(-c t / 2),
-    # so the tail dropped at any T >= T0 is bounded by integrand(T) * 2/c.
-    lower = max(2.0 * (shape - 1.0) / c, 1.0)
+    # so the tail dropped at any T >= T0 is at most integrand(T) * 2/c, which
+    # is 0.01 tol exp(-x) at the root of h(T) = log_integrand(T) - target.  h
+    # is concave and decreasing past T0, so every Newton iterate from T0 lies
+    # at or past the root and meets the bound; further steps only move T
+    # closer to it.  Each step is finite: h' <= -c/2, and h is finite where it
+    # is positive (x = inf makes it NaN or -inf).
+    upper = max(2.0 * (shape - 1.0) / c, 1.0)
+    target = math.log(0.005) + math.log(tol) + math.log(c) - x
     epsrel = max(min(tol / 4.0, 1e-2), 1e-13)
-    # c*t past the largest float only occurs where the integrand is 0.
+    # x*r or shape*(...) past the largest float only occurs where the
+    # integrand is 0.
     with np.errstate(over="ignore"):
-        value, abserr = quad(integrand, 0.0, lower, epsrel)
-        upper = lower
+        for _ in range(3):
+            h = float(log_integrand(upper)) - target
+            if not h > 0.0:
+                break
+            upper -= h / ((shape - 1.0) / upper - c)
+        value, abserr = quad(integrand, 0.0, upper, epsrel)
         tail = float(integrand(upper)) * 2.0 / c
-        if value > 0.0 and tail > 0.1 * tol * value:
-            # Place T where the bound is 0.01 tol value: the root of
-            # h(T) = (shape-1) ln T - c T - lgam - ln(0.01 tol value c/2).
-            # h is concave and decreasing past T0, so every Newton iterate
-            # from T0 lies at or past the root and meets the bound; further
-            # steps only move T closer to it.
-            target = math.log(0.005) + math.log(tol) + math.log(c) + math.log(value)
-            for _ in range(3):
-                h = (shape - 1.0) * math.log(upper) - c * upper - lgam - target
-                upper -= h / ((shape - 1.0) / upper - c)
-            if math.isfinite(upper):
-                piece, piece_err = quad(integrand, lower, upper, epsrel)
-                value += piece
-                abserr += piece_err
-                tail = float(integrand(upper)) * 2.0 / c
-    if not (value > 0.0 and math.isfinite(upper)):
+    if not value > 0.0:
         raise NumericalError(
             "could not push the quadrature tail below the requested tolerance "
-            f"(last upper limit {lower:.3e})"
+            f"(last upper limit {upper:.3e})"
         )
     if not abserr + tail <= tol * value:  # a NaN bound fails too
         raise NumericalError(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from entrogup.cli import main
+from entrogup.cli import _parse_grid, main
 from entrogup.maxent import DEFAULT_FIT_GRID
 
 PUBLISHED_PLUS = -0.560565
@@ -28,6 +28,15 @@ def test_boltzmann_defaults(capsys):
     assert code == 0
     assert "closed" in out and "quadrature" in out
     assert "max_rel_diff" in out
+
+
+def test_boltzmann_small_spread_meets_tight_tolerance(capsys):
+    # the exit code alone allows max(1e-7, 10 tol); at p = 1e-6 the quadrature
+    # meets tol itself only if no terms of size (1/p) ln(1/p) cancel
+    code, out, _ = run(capsys, "boltzmann", "--p", "1e-6", "--tol", "1e-10",
+                       "--grid", "0:1:2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["footer"]["max_rel_diff"] <= 1e-10
 
 
 def test_boltzmann_multiple_p_csv(capsys):
@@ -351,6 +360,26 @@ def test_entropy_omega_above_bound_exits_2_quietly(omega, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: the number of states must lie in [1, 1048576], got {omega}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("gup", "--alpha0", "0.36"), ("maxent",), ("boltzmann",), ("fit",)]
+)
+def test_grid_count_above_bound_exits_2_quietly(argv, capsys, tmp_path, monkeypatch):
+    # refused before numpy tries to allocate 10**15 points (7 PiB)
+    monkeypatch.chdir(tmp_path)
+    grid = "0:1:1000000000000000"
+    code, out, err = run(capsys, *argv, "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: grid must be 'start:stop:count' with count in [1, 1048576], "
+        f"or a single number, got {grid!r}\n"
+    )
+    assert not list(tmp_path.iterdir())  # fit wrote no coefficient file
+
+
+def test_grid_count_at_bound_parses():
+    assert _parse_grid("0:1:1048576").size == 1 << 20
 
 
 def test_out_of_domain_gup_grid_names_bound(capsys):

@@ -172,7 +172,7 @@ def test_gauss_kronrod_tables():
         assert math.fsum(superstats._RULES[:, 0] * unit**d) == pytest.approx(exact, abs=1e-15)
         if d <= 19:
             assert math.fsum(gauss * unit**d) == pytest.approx(exact, abs=1e-15)
-    mean, _ = superstats._qk21(lambda t: t**31, np.array([0.0]), np.array([1.0]))
+    mean = superstats._qk21(lambda t: t**31, np.array([0.0]), np.array([1.0]))[0]
     assert mean[0] == pytest.approx(1.0 / 32.0, abs=1e-15)
 
 
@@ -210,7 +210,7 @@ def test_quadrature_matches_scipy_at_corners(p, energy, tol):
 @pytest.mark.parametrize("energy", [0.0, 0.5, 20.0])
 @pytest.mark.parametrize("p", [0.02, 0.3, 0.99, 1.0])
 def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
-    # [0, T0], then at most one piece [T0, T] with T placed on the tail bound
+    # one piece [0, T], with T placed on the tail bound before integrating
     limits = []
     inner = superstats.quad
 
@@ -220,16 +220,37 @@ def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
 
     monkeypatch.setattr(superstats, "quad", counting_quad)
     value = boltzmann_quadrature(GammaBetaParams(p, 1.0), energy, tol=tol)
-    assert 1 <= len(limits) <= 2
+    assert len(limits) == 1
     assert limits[0][0] == 0.0
-    if len(limits) == 2:
-        assert limits[1][0] == limits[0][1] < limits[1][1]
     shape, c = 1.0 / p, 1.0 + p * energy
-    upper = limits[-1][1]
+    upper = limits[0][1]
     tail = math.exp((shape - 1.0) * math.log(upper) - c * upper - math.lgamma(shape)) * 2.0 / c
     assert tail <= 0.1 * tol * value
     closed = boltzmann_closed(GammaBetaParams(p, 1.0), energy)
     assert value == pytest.approx(closed, rel=tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("energy", [0.0, 0.5, 20.0])
+@pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-4])
+def test_quadrature_meets_its_tolerance_at_small_spread(p, energy, tol):
+    # the integrand in t**(1/p - 1) form cancels terms of size (1/p) ln(1/p);
+    # written in r = p t, as gamma_pdf is, it has none
+    params = GammaBetaParams(p, 1.0)
+    closed = boltzmann_closed(params, energy)
+    assert abs(boltzmann_quadrature(params, energy, tol=tol) - closed) <= tol * closed
+
+
+@pytest.mark.parametrize("energy", [0.0, 2.0])
+@pytest.mark.parametrize("p", [0.9, 0.95, 0.99])
+def test_quadrature_reaches_the_tightest_tolerance_near_p_1(p, energy):
+    # near p = 1 the integrand is ~1 on [0, 1] and [0, T] reaches T ~ 35, so
+    # at tol 1e-13 the panels there sit at their rounding floor; bisecting
+    # them cannot lower it, and doing so anyway ran into the panel limit
+    params = GammaBetaParams(p, 1.0)
+    closed = boltzmann_closed(params, energy)
+    assert boltzmann_quadrature(params, energy, tol=1e-13) == pytest.approx(closed, rel=1e-13)
 
 
 def test_quad_stops_at_its_work_limits():
