@@ -11,12 +11,12 @@ Gauss-Kronrod rule in numpy, applied adaptively.  Its first panels narrow
 geometrically toward a lower limit of 0, where ``t**(1/p - 1)`` is not smooth;
 each round evaluates the integrand once on every open panel (21 nodes each)
 and bisects the panels whose error estimate is above both their share of the
-requested relative error and its rounding floor.  ``boltzmann_quadrature`` makes one ``quad`` call
-per point, over ``[0, T]``.  It places ``T`` before integrating, by Newton
-steps on the logarithm of the analytic tail bound, against the lower bound
-``exp(-beta0*E)`` that Jensen's inequality gives the value.  The density and
-the integrand share one log-density, written in ``beta/beta0`` so that no two
-of its terms of size ~1/p cancel.
+requested relative error and its rounding floor.  ``boltzmann_quadrature``
+makes one ``quad`` call per point, over ``[0, T]``.  It places ``T`` before
+integrating, by Newton steps on the logarithm of the analytic tail bound,
+against a lower bound on the value that the integrand's log-concavity gives.
+The density and the integrand share one log-density, written in
+``beta/beta0`` so that no two of its terms of size ~1/p cancel.
 """
 
 from __future__ import annotations
@@ -255,9 +255,10 @@ def boltzmann_quadrature(
     ``t**(1/p - 1) * exp(-c*t) / Gamma(1/p)`` with ``c = 1 + p*beta0*E``.
     It makes one ``quad`` call, over ``[0, T]``.  Past
     ``T0 = max(2(1/p - 1)/c, 1)`` the dropped tail is at most
-    ``integrand(T) * 2/c``, and by Jensen's inequality the value is at least
-    ``exp(-beta0*E)``; starting from ``T0``, up to three Newton steps place
-    ``T`` where the bound is ``tol/100`` relative to that lower bound.
+    ``integrand(T) * 2/c``, and since the integrand is log-concave with its
+    peak at ``(1/p - 1)/c``, the value is at least ``integrand(1/(p c))/c``;
+    starting from ``T0``, up to three Newton steps place ``T`` where the tail
+    bound is ``tol/100`` relative to that lower bound.
 
     Parameters
     ----------
@@ -293,16 +294,19 @@ def boltzmann_quadrature(
     def integrand(t):
         return np.exp(log_integrand(t))
 
-    # Past T0 = 2(shape-1)/c the exponent decays at least like exp(-c t / 2),
-    # so the tail dropped at any T >= T0 is at most integrand(T) * 2/c, which
-    # is 0.01 tol exp(-x) at the root of h(T) = log_integrand(T) - target.  h
-    # is concave and decreasing past T0, so every Newton iterate from T0 lies
-    # at or past the root and meets the bound; further steps only move T
-    # closer to it.  Each step is finite: h' <= -c/2, and h is finite where it
-    # is positive (x = inf makes it NaN or -inf).
+    # log_integrand is concave with its peak at (shape-1)/c, so the integrand
+    # is at least integrand(shape/c) on [(shape-1)/c, shape/c] and the value
+    # is at least integrand(shape/c)/c.  Past T0 = 2(shape-1)/c the exponent
+    # decays at least like exp(-c t / 2), so the tail dropped at any T >= T0
+    # is at most integrand(T) * 2/c, which is 0.01 tol times that lower bound
+    # at the root of h(T) = log_integrand(T) - target.  h is concave and
+    # decreasing past T0, so every Newton iterate from T0 lies at or past the
+    # root and meets the bound; further steps only move T closer to it.  Each
+    # step is finite: h' <= -c/2, and h is finite where it is positive.
     upper = max(2.0 * (shape - 1.0) / c, 1.0)
-    target = math.log(0.005) + math.log(tol) + math.log(c) - x
     epsrel = max(min(tol / 4.0, 1e-2), 1e-13)
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = inf: NaN, no step
+        target = math.log(0.005) + math.log(tol) + float(log_integrand(shape / c))
     # x*r or shape*(...) past the largest float only occurs where the
     # integrand is 0.
     with np.errstate(over="ignore"):

@@ -39,6 +39,13 @@ def test_boltzmann_small_spread_meets_tight_tolerance(capsys):
     assert json.loads(out)["footer"]["max_rel_diff"] <= 1e-10
 
 
+def test_boltzmann_at_large_spread_times_energy(capsys):
+    # beta0 E = 2e15: the closed form is (1 + 1e15)**-2 ~ 1e-30
+    code, out, _ = run(capsys, "boltzmann", "--p", "0.5", "--grid", "2e15", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["footer"]["max_rel_diff"] <= 1e-8
+
+
 def test_boltzmann_multiple_p_csv(capsys):
     code, out, _ = run(capsys, "boltzmann", "--p", "0.1,0.5", "--grid", "0:2:3",
                        "--format", "csv")

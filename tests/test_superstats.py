@@ -253,6 +253,19 @@ def test_quadrature_reaches_the_tightest_tolerance_near_p_1(p, energy):
     assert boltzmann_quadrature(params, energy, tol=1e-13) == pytest.approx(closed, rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p,energy", [(0.5, 1e13), (0.5, 1e15), (0.5, 2e15), (0.05, 1e14), (0.05, 5e15)]
+)
+def test_quadrature_at_large_c_keeps_the_panels_on_the_mass(p, energy):
+    # c = 1 + p E ~ 1e15: the mass sits at t ~ 1/(p c) and the graded panels
+    # reach it only from [0, 1].  exp(-E) as the lower bound on the value would
+    # push T out to ~1/p, and the first node past where exp(-c t) underflows.
+    params = GammaBetaParams(p, 1.0)
+    closed = boltzmann_closed(params, energy)
+    assert boltzmann_quadrature(params, energy) == pytest.approx(closed, rel=1e-8)
+
+
 def test_quad_stops_at_its_work_limits():
     # 1/t is not integrable at 0: the estimate it returns admits a large error
     value, abserr = superstats.quad(lambda t: 1.0 / t, 0.0, 1.0, 1e-10)
