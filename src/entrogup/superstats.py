@@ -12,11 +12,12 @@ geometrically toward a lower limit of 0, where ``t**(1/p - 1)`` is not smooth;
 each round evaluates the integrand once on every open panel (21 nodes each)
 and bisects the panels whose error estimate is above both their share of the
 requested relative error and its rounding floor.  ``boltzmann_quadrature``
-makes one ``quad`` call per point, over ``[0, T]``.  It places ``T`` before
-integrating, by Newton steps on the logarithm of the analytic tail bound,
-against a lower bound on the value that the integrand's log-concavity gives.
-The density and the integrand share one log-density, written in
-``beta/beta0`` so that no two of its terms of size ~1/p cancel.
+makes one ``quad`` call per point, over ``[0, T]``.  Divided by the value, its
+integrand is a Gamma density, so ``T`` is a closed form from the Chernoff
+bound on that density's tail, with no search.  A value below the smallest
+normal float is refused.  The density and the integrand share one
+log-density, written in ``beta/beta0`` so that no two of its terms of size
+~1/p cancel.
 """
 
 from __future__ import annotations
@@ -183,13 +184,11 @@ _GAUSS[11:20:2] = _WG[::-1]
 _RULES = np.stack((_MEAN, 200.0 * (_MEAN - 0.5 * _GAUSS)), axis=1)
 # Weights of QUADPACK's rounding floor on the error, 50 eps times |f|'s mean.
 _FLOOR = 50.0 * float(np.finfo(float).eps) * _MEAN
-_TINY = float(np.finfo(float).tiny)
 
 # Initial panels of [a, b], in units of b - a from a: [0, 4**-16],
 # [4**-16, 4**-15], ..., [1/4, 1], narrowing toward a = 0, where t**(1/p - 1)
 # is not smooth.
 _GRADED = np.concatenate(([0.0], 0.25 ** np.arange(16, -1, -1)))
-_GRADED_LO, _GRADED_WIDTH = _GRADED[:-1], np.diff(_GRADED)
 # Work limits of ``quad``; past them it returns its current error estimate.
 _MAX_ROUNDS = 60
 _MAX_PANELS = 2000
@@ -202,8 +201,11 @@ def _qk21(func, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
     f = func(lo[:, None] + width[:, None] * _UNIT)
     mean, diff = f.dot(_RULES).T
     asc = np.abs(f - mean[:, None]).dot(_MEAN)
-    # asc = 0 only where f is 0 on the whole panel, and then so is diff.
-    err = asc * np.minimum(1.0, np.abs(diff) / (asc + _TINY)) ** 1.5
+    # asc = 0 only where f is constant on the panel, and then err is 0 for any
+    # finite ratio: divide by 1 there.  A subnormal asc is divided by as it is;
+    # adding the smallest normal float to it would read the estimate of a
+    # subnormal integrand as ~0.
+    err = asc * np.minimum(1.0, np.abs(diff) / (asc + (asc == 0.0))) ** 1.5
     floor = np.abs(f).dot(_FLOOR)
     return mean, np.maximum(err, floor), floor
 
@@ -224,9 +226,10 @@ def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
     ``boltzmann_quadrature`` looks it up as a module global, so a wrapper
     patched in here sees every integrator call.
     """
-    lo, width = a + (b - a) * _GRADED_LO, (b - a) * _GRADED_WIDTH
+    lo, hi = a + (b - a) * _GRADED[:-1], a + (b - a) * _GRADED[1:]
     closed_value = closed_err = 0.0
     for _ in range(_MAX_ROUNDS):
+        width = hi - lo
         mean, err, floor = _qk21(func, lo, width)
         total = closed_value + float(width.dot(mean))
         error = closed_err + float(width.dot(err))
@@ -240,8 +243,10 @@ def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
         keep = ~split
         closed_value += float(width[keep].dot(mean[keep]))
         closed_err += float(width[keep].dot(err[keep]))
-        lo, width = lo[split], 0.5 * width[split]
-        lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))
+        # Neighbours share one end point, so rounding opens no gap and no
+        # overlap between them.
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
     return total, error
 
 
@@ -253,12 +258,12 @@ def boltzmann_quadrature(
     Integrates ``gamma_pdf(beta) * exp(-beta*E)`` over the substitution
     ``t = beta / (p*beta0)``, which turns the integrand into
     ``t**(1/p - 1) * exp(-c*t) / Gamma(1/p)`` with ``c = 1 + p*beta0*E``.
-    It makes one ``quad`` call, over ``[0, T]``.  Past
-    ``T0 = max(2(1/p - 1)/c, 1)`` the dropped tail is at most
-    ``integrand(T) * 2/c``, and since the integrand is log-concave with its
-    peak at ``(1/p - 1)/c``, the value is at least ``integrand(1/(p c))/c``;
-    starting from ``T0``, up to three Newton steps place ``T`` where the tail
-    bound is ``tol/100`` relative to that lower bound.
+    Divided by the value ``c**(-1/p)``, that is the Gamma density of shape
+    ``1/p`` and rate ``c``, so a Chernoff bound on its tail gives the upper
+    limit in closed form: past ``T = y (1/p)/c`` with
+    ``y = 1 + a + sqrt(a (a + 2))`` and ``a = p ln(100/min(tol, 1))``, the
+    dropped tail is at most ``min(tol, 1)/100`` of the value.  It makes one
+    ``quad`` call, over ``[0, T]``.
 
     Parameters
     ----------
@@ -272,7 +277,8 @@ def boltzmann_quadrature(
     Raises
     ------
     NumericalError
-        If the estimated relative error cannot be brought below ``tol``, or
+        If the value is below the smallest normal float (or 0), if the
+        estimated relative error cannot be brought below ``tol``, or if
         ``ln Gamma(1/p)`` overflows (``p`` below ~3.9e-306).
     """
     if not (math.isfinite(energy) and energy >= 0.0):
@@ -282,49 +288,50 @@ def boltzmann_quadrature(
     p, shape = params.p, 1.0 / params.p
     x = params.beta0 * energy
     c = 1.0 + p * params.beta0 * energy
-    offset = _log_norm(p) - math.log(shape)
-
-    def log_integrand(t):
-        # the Gamma log-density of gamma_pdf in r = beta/beta0 = p t, times
-        # exp(-x r), in units of t
-        r = p * t
-        ln_r = np.log(r)
-        return shape * (ln_r - (r - 1.0)) - ln_r - x * r + offset
+    offset = _log_norm(p) + math.log(p)
 
     def integrand(t):
-        return np.exp(log_integrand(t))
+        # the Gamma log-density of gamma_pdf in r = beta/beta0 = p t, times
+        # exp(-x r), in units of t.  Divided by p, not times shape: 1/p
+        # rounded would move the value by up to eps/2 (shape ln c + x/c).
+        r = p * t
+        ln_r = np.log(r)
+        return np.exp((ln_r - (r - 1.0)) / p - ln_r - x * r + offset)
 
-    # log_integrand is concave with its peak at (shape-1)/c, so the integrand
-    # is at least integrand(shape/c) on [(shape-1)/c, shape/c] and the value
-    # is at least integrand(shape/c)/c.  Past T0 = 2(shape-1)/c the exponent
-    # decays at least like exp(-c t / 2), so the tail dropped at any T >= T0
-    # is at most integrand(T) * 2/c, which is 0.01 tol times that lower bound
-    # at the root of h(T) = log_integrand(T) - target.  h is concave and
-    # decreasing past T0, so every Newton iterate from T0 lies at or past the
-    # root and meets the bound; further steps only move T closer to it.  Each
-    # step is finite: h' <= -c/2, and h is finite where it is positive.
-    upper = max(2.0 * (shape - 1.0) / c, 1.0)
+    # The tail of Gamma(shape, rate c) past y times its mean shape/c is at most
+    # exp(-shape (y - 1 - ln y)) (Chernoff), and y - 1 - ln y >= (y-1)**2/(2y)
+    # for y >= 1; at the root y >= 1 of (y-1)**2 = 2 a y that is exp(-a shape).
+    # a is a difference of logs, so that tol = 5e-324 does not underflow.
+    a = p * (math.log(100.0) - math.log(min(tol, 1.0)))
+    upper = (1.0 + a + math.sqrt(a * (a + 2.0))) * shape / c
+    tail = 0.01 * min(tol, 1.0)
     epsrel = max(min(tol / 4.0, 1e-2), 1e-13)
-    with np.errstate(divide="ignore", invalid="ignore"):  # c = inf: NaN, no step
-        target = math.log(0.005) + math.log(tol) + float(log_integrand(shape / c))
-    # x*r or shape*(...) past the largest float only occurs where the
-    # integrand is 0.
+    # x*r or (...)/p past the largest float only occurs where the integrand is
+    # 0.  Where p*beta0*E overflows, c = inf leaves [0, 0] and the value is 0.
     with np.errstate(over="ignore"):
-        for _ in range(3):
-            h = float(log_integrand(upper)) - target
-            if not h > 0.0:
-                break
-            upper -= h / ((shape - 1.0) / upper - c)
-        value, abserr = quad(integrand, 0.0, upper, epsrel)
-        tail = float(integrand(upper)) * 2.0 / c
-    if not value > 0.0:
+        value, abserr = quad(integrand, 0.0, upper, epsrel) if c < math.inf else (0.0, 0.0)
+    if not value >= sys.float_info.min:  # 0, or below the normal range
         raise NumericalError(
             "could not push the quadrature tail below the requested tolerance "
             f"(last upper limit {upper:.3e})"
         )
-    if not abserr + tail <= tol * value:  # a NaN bound fails too
+    # The integrand's own rounding, relative to the value.  Rounding x moves
+    # the value by up to eps/2 x/c.  At the mass, r ~ 1/c, the exponent sums
+    # terms of about shape ln c + x/c, and near r = 1 the rounding of r and t
+    # moves it by about eps sqrt(shape); these node errors change sign from
+    # node to node and partly cancel in the weighted sum.  Against 50-digit
+    # values at 62,000 points (p from 1e-9 to 1, beta0 E from 0 to 1e300),
+    # the largest error past abserr used 0.8 of this allowance.
+    eps = sys.float_info.epsilon
+    rounding = eps * (0.5 * (shape * math.log(c) + x / c) + 0.35 * math.sqrt(shape))
+    if shape < 20.0:  # offset: _log_norm's terms of size shape ln shape cancel
+        rounding += 1.5 * eps * shape * math.log(shape)
+    # A node value below the normal range is a multiple of the smallest
+    # float, so over [0, T] those values are off by at most T times it.
+    rounding += upper * (math.ulp(0.0) / value)
+    if not abserr / value + tail + rounding <= tol:  # a NaN bound fails too
         raise NumericalError(
-            f"quadrature reached relative error {(abserr + tail) / value:.3e}, "
+            f"quadrature reached relative error {abserr / value + tail + rounding:.3e}, "
             f"above the requested tolerance {tol:.3e}"
         )
     return value

@@ -39,9 +39,12 @@ def test_boltzmann_small_spread_meets_tight_tolerance(capsys):
     assert json.loads(out)["footer"]["max_rel_diff"] <= 1e-10
 
 
-def test_boltzmann_at_large_spread_times_energy(capsys):
-    # beta0 E = 2e15: the closed form is (1 + 1e15)**-2 ~ 1e-30
-    code, out, _ = run(capsys, "boltzmann", "--p", "0.5", "--grid", "2e15", "--format", "json")
+@pytest.mark.parametrize("p,grid", [("0.5", "2e15"), ("0.5", "1e16"), ("1e-8", "0:1:2")])
+def test_boltzmann_at_large_spread_times_energy(capsys, p, grid):
+    # beta0 E = 2e15: the closed form is (1 + 1e15)**-2 ~ 1e-30.  At 1e16 the
+    # mass sits at t ~ 1/(p c) ~ 4e-16; at p = 1e-8 it is a peak of relative
+    # width 1e-4 at t ~ 1/p.
+    code, out, _ = run(capsys, "boltzmann", "--p", p, "--grid", grid, "--format", "json")
     assert code == 0
     assert json.loads(out)["footer"]["max_rel_diff"] <= 1e-8
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from entrogup import superstats
 from entrogup.errors import NumericalError
@@ -226,6 +227,8 @@ def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
     upper = limits[0][1]
     tail = math.exp((shape - 1.0) * math.log(upper) - c * upper - math.lgamma(shape)) * 2.0 / c
     assert tail <= 0.1 * tol * value
+    # the exact tail of the Gamma(1/p, rate c) density past T, relative to the value
+    assert gammaincc(shape, c * upper) <= 0.01 * tol
     closed = boltzmann_closed(GammaBetaParams(p, 1.0), energy)
     assert value == pytest.approx(closed, rel=tol)
 
@@ -233,7 +236,7 @@ def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("energy", [0.0, 0.5, 20.0])
-@pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("p", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
 def test_quadrature_meets_its_tolerance_at_small_spread(p, energy, tol):
     # the integrand in t**(1/p - 1) form cancels terms of size (1/p) ln(1/p);
     # written in r = p t, as gamma_pdf is, it has none
@@ -255,12 +258,13 @@ def test_quadrature_reaches_the_tightest_tolerance_near_p_1(p, energy):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "p,energy", [(0.5, 1e13), (0.5, 1e15), (0.5, 2e15), (0.05, 1e14), (0.05, 5e15)]
+    "p,energy",
+    [(0.5, 1e13), (0.5, 1e15), (0.5, 2e15), (0.5, 1e16), (0.5, 1e20), (0.5, 1e100),
+     (0.05, 1e14), (0.05, 5e15), (0.05, 1e16)],
 )
 def test_quadrature_at_large_c_keeps_the_panels_on_the_mass(p, energy):
-    # c = 1 + p E ~ 1e15: the mass sits at t ~ 1/(p c) and the graded panels
-    # reach it only from [0, 1].  exp(-E) as the lower bound on the value would
-    # push T out to ~1/p, and the first node past where exp(-c t) underflows.
+    # c = 1 + p E >= 1e13: the mass sits at t ~ 1/(p c), so the graded panels
+    # reach it only if they scale with 1/c; exp(-c t) underflows past t ~ 745/c.
     params = GammaBetaParams(p, 1.0)
     closed = boltzmann_closed(params, energy)
     assert boltzmann_quadrature(params, energy) == pytest.approx(closed, rel=1e-8)
@@ -280,11 +284,52 @@ def test_quadrature_rejects_unreachable_tolerance():
 
 
 @pytest.mark.filterwarnings("error")
-def test_quadrature_tail_failure_is_a_numerical_error():
-    # p = 1e-300: the first piece misses the peak at t ~ 1/p and integrates to
-    # 0, so no tail limit can be placed; no log(0) or overflow on the way
+@pytest.mark.parametrize(
+    "p,beta0,energy", [(1e-300, 1.0, 0.0), (1e-4, 1.0, 745.0), (1e-4, 1.0, 750.0),
+                       (0.9, 1e300, 1e-10)]
+)
+def test_quadrature_tail_failure_is_a_numerical_error(p, beta0, energy):
+    # p = 1e-300: the panels miss the peak at t ~ 1/p and the integral reads 0;
+    # no log(0) or overflow on the way.  The others have a value below the
+    # smallest normal float (8.6e-313, 8.2e-315, ~1e-322), where the integrand
+    # is subnormal too and its bits are lost.
     with pytest.raises(NumericalError, match="could not push the quadrature tail"):
-        boltzmann_quadrature(GammaBetaParams(1e-300, 1.0), 0.0)
+        boltzmann_quadrature(GammaBetaParams(p, beta0), energy)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p,energy,tol", [(8e-6, 709.4, 0.06), (1.5e-9, 0.0, 3e-3),
+                                          (1.5e-9, 1.0, 3e-3)])
+def test_quadrature_error_estimate_counts_a_subnormal_integrand(p, energy, tol):
+    # the integrand is subnormal on every node (a value near 6e-308 spread
+    # over t ~ 1e5), or on the one node that reaches the tail of a peak the
+    # panels have not found yet; an error estimate that reads ~0 there
+    # returned 9.8e-308 and ~1e-304 with no error
+    params = GammaBetaParams(p, 1.0)
+    closed = boltzmann_closed(params, energy)
+    assert abs(boltzmann_quadrature(params, energy, tol=tol) - closed) <= tol * closed
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    st.floats(min_value=-12.0, max_value=0.0),
+    st.sampled_from([1e-300, 1.0, 1e300]),
+    st.one_of(st.just(None), st.floats(min_value=-300.0, max_value=300.0)),
+    st.floats(min_value=-16.0, max_value=2.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_quadrature_is_within_tol_or_refuses(log_p, beta0, log_energy, log_tol):
+    # the whole input range: a value within tol of the closed form, or a
+    # NumericalError, and no other exception or warning
+    params = GammaBetaParams(10.0**log_p, beta0)
+    energy = 0.0 if log_energy is None else 10.0**log_energy
+    tol = 10.0**log_tol
+    closed = boltzmann_closed(params, energy)
+    try:
+        value = boltzmann_quadrature(params, energy, tol=tol)
+    except NumericalError:
+        return
+    assert abs(value - closed) <= tol * closed
 
 
 def test_series_orders():
