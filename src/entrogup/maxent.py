@@ -102,15 +102,28 @@ def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
     ``g = 1 - u + x (1 + s (p - p u)) - exp(s p u)`` is the equation of the
     module docstring with ``ln p = -u``.  It is written with ``expm1`` so that
     the interior minus root keeps its digits where ``p`` is close to 1.
-    Returns ``(g, dg)``, or ``g`` alone when ``slope`` is false.
+    Returns ``(g, dg)``, or ``(g, p)`` when ``slope`` is false.
+
+    Each kind has its own arithmetic with ``s`` folded in.  For ``s = +-1``
+    the products ``s * a`` are exact sign flips, ``a - (-b)`` is ``a + b`` and
+    ``-a - b`` is ``-(a + b)`` (up to the sign of a zero ``g``, which only
+    ``|g|`` and comparisons with 0 see), so roots and residuals keep the bits
+    of the single formula above.
     """
-    p = np.exp(-u)
+    nu = -u
+    p = np.exp(nu)
     pu = p * u
-    one_sp = 1.0 + p if s > 0 else -np.expm1(-u)
-    g = -np.expm1(s * pu) - u + x * (one_sp - s * pu)
-    if not slope:
-        return g
-    dg = -s * np.exp(s * pu) * (p - pu) - 1.0 - s * x * (2.0 * p - pu)
+    if s > 0:
+        g = x * (1.0 + p - pu) - (np.expm1(pu) + u)
+        if not slope:
+            return g, p
+        dg = -np.exp(pu) * (p - pu) - 1.0 - x * (2.0 * p - pu)
+    else:
+        npu = -pu
+        g = x * (pu - np.expm1(nu)) - (np.expm1(npu) + u)
+        if not slope:
+            return g, p
+        dg = np.exp(npu) * (p - pu) - 1.0 + x * (2.0 * p - pu)
     return g, dg
 
 
@@ -153,42 +166,50 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     at = np.arange(x.size)  # where the working points sit in x
     x_work = x
     u = x.copy()
-    stopped = np.zeros(x.shape, dtype=bool)
-    for _ in range(200):
-        g, dg = _g(u, x_work, s)
-        lo = np.where(g > 0.0, u, lo)
-        hi = np.where(g < 0.0, u, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(g == 0.0, 0.0, g / dg)
-        ulps = 4.0 * np.finfo(float).eps * np.maximum(u, 1.0)
-        small = np.abs(step) <= ulps
-        done = small | (hi - lo <= ulps)
-        newton = u - step
-        take_newton = small | ((lo < newton) & (newton < hi))
-        u = np.where(take_newton, newton, 0.5 * lo + 0.5 * hi)
-        stopping = done & ~stopped
-        if stopping.any():
-            u_root[at[stopping]] = u[stopping]
-            stopped |= stopping
+    stopped = None  # mask of the working points that have stopped, once any has
+    ulp4 = 4.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            g, dg = _g(u, x_work, s)
+            np.copyto(lo, u, where=g > 0.0)
+            np.copyto(hi, u, where=g < 0.0)
+            step = g / dg
+            step[g == 0.0] = 0.0
+            ulps = np.maximum(u, 1.0)
+            ulps *= ulp4
+            small = np.abs(step) <= ulps
+            done = small | (hi - lo <= ulps)
+            u -= step  # the Newton iterate
+            take_newton = small | ((lo < u) & (u < hi))
+            if np.count_nonzero(take_newton) < u.size:
+                u = np.where(take_newton, u, 0.5 * lo + 0.5 * hi)
+            if stopped is not None:
+                done &= ~stopped
+            if not np.count_nonzero(done):
+                continue
+            u_root[at[done]] = u[done]
+            stopped = done if stopped is None else stopped | done
             count = np.count_nonzero(stopped)
             if count == stopped.size:
                 break
             if count >= _COMPACT_SHARE * stopped.size:
                 keep = ~stopped
                 at, x_work, u, lo, hi = at[keep], x_work[keep], u[keep], lo[keep], hi[keep]
-                stopped = np.zeros(at.size, dtype=bool)
-    else:
-        raise NumericalError(
-            f"root refinement did not converge at x = {float(x_work[~stopped][0]):g}"
-        )
-    residual = np.abs(_g(u_root, x, s, slope=False))
+                stopped = None
+        else:
+            open_x = x_work if stopped is None else x_work[~stopped]
+            raise NumericalError(
+                f"root refinement did not converge at x = {float(open_x[0]):g}"
+            )
+    g, p = _g(u_root, x, s, slope=False)
+    residual = np.abs(g)
     worst = int(np.argmax(residual))
     if residual[worst] > tol:
         raise NumericalError(
             f"root at x = {x[worst]:g} has residual {residual[worst]:g} "
             f"above the tolerance {tol:g}"
         )
-    return np.exp(-u_root), residual
+    return p, residual
 
 
 def _solution(x: float, s: int, tol: float) -> MaxEntSolution:
@@ -288,7 +309,9 @@ def fit_gen_exp(
         raise ValueError(f"need at least {degree + 1} grid points, got {xs.size}")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise ValueError("grid points must be finite and non-negative")
-    if np.unique(xs).size < degree + 1:
+    # counted without np.unique, which imports numpy.ma (most of a cold fit's
+    # start-up); -0.0 and 0.0 are one point, as np.unique counts them
+    if np.count_nonzero(np.diff(np.sort(xs))) + 1 < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
 
     probs, _ = _roots(xs, _SIGN[kind], tol)

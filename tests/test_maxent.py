@@ -250,6 +250,14 @@ def test_fit_validation():
         fit_gen_exp("plus", 4, [0.1, 0.1, 0.1, 0.1, 0.1])  # not distinct
 
 
+def test_fit_counts_signed_zeros_as_one_point():
+    # as np.unique counts them: -0.0 == 0.0
+    with pytest.raises(ValueError, match="need at least 3 distinct grid points"):
+        fit_gen_exp("plus", 2, [0.0, -0.0, 0.5])
+    fit = fit_gen_exp("plus", 2, [-0.0, 0.5, 0.0, 1.0])
+    assert fit.coeffs.degree == 2
+
+
 @pytest.mark.parametrize("degree", [2.9, "4", 4.0, None])
 def test_fit_degree_must_be_an_integer(degree):
     # int() used to truncate 2.9 to 2 and parse "4"
@@ -442,6 +450,25 @@ def test_roots_bit_identical_to_full_array_loop(name, s):
 @given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=300))
 @settings(max_examples=100, deadline=None)
 def test_roots_bit_identical_on_random_points(xs):
+    x = np.array(xs)
+    for s in (1, -1):
+        p, residual = maxent._roots(x, s, 1e-12)
+        p_ref, residual_ref = roots_loop(x, s)
+        assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
+
+
+# log-uniform over the whole range, so the minus kind's small-x expm1 terms and
+# the underflow edge near x = 745 are drawn, not only the uniform [0, 60] above
+SOLVER_X = (
+    st.floats(min_value=math.log(1e-300), max_value=math.log(800.0)).map(math.exp)
+    | st.sampled_from([0.0, 5e-324])
+    | st.floats(min_value=744.0, max_value=746.0)
+)
+
+
+@given(st.lists(SOLVER_X, min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_roots_bit_identical_on_log_uniform_points(xs):
     x = np.array(xs)
     for s in (1, -1):
         p, residual = maxent._roots(x, s, 1e-12)

@@ -88,6 +88,32 @@ def test_commands_without_quadrature_load_no_scipy(argv, tmp_path):
     assert probe(argv, tmp_path) == {"code": 0, "scipy": []}
 
 
+# Runs every command in one process and reports whether numpy.ma got loaded.
+MA_PROBE = """
+import contextlib, io, json, sys
+import entrogup.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(entrogup.cli.main(argv))
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy.ma (loaded by np.unique in numpy 2.x) is ~35 ms of a cold call
+    argv = [
+        ["boltzmann"],
+        ["entropy"],
+        ["maxent"],
+        ["fit", "--coeffs", "c.txt"],
+        ["derive"],
+        ["gup", "--alpha0", "0.36"],
+    ]
+    out = json.loads(python(["-c", MA_PROBE, json.dumps(argv)], tmp_path).stdout)
+    assert out == {"codes": [0] * len(argv), "ma": False}
+
+
 COMMAND_MODULES = {"entrogup", "entrogup.cli", "entrogup.errors"}
 ENTROPY_MODULES = COMMAND_MODULES | {"entrogup.entropy"}
 MAXENT_MODULES = ENTROPY_MODULES | {"entrogup.maxent"}
