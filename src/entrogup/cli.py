@@ -25,8 +25,9 @@ from .errors import NumericalError
 __all__ = ["main", "main_entry"]
 
 _FLOAT_FMT = ".9g"
-# Largest grid count, checked before the grid is allocated (the limit
-# ProbVector.uniform puts on the number of states).
+# Largest grid count or number of listed values, checked before the grid is
+# allocated or any value converted (the limit ProbVector.uniform puts on the
+# number of states).
 _MAX_GRID_COUNT = 1 << 20
 
 
@@ -163,6 +164,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    if len(tokens) > _MAX_GRID_COUNT:
+        raise ValueError(f"{flag} takes at most {_MAX_GRID_COUNT} values, got {len(tokens)}")
     try:
         return [float(tok) for tok in tokens]
     except ValueError:

@@ -127,12 +127,6 @@ def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
     return g, dg
 
 
-# Gathering the working arrays costs several array operations, which pays off
-# only once a fair share of the points has stopped (on fit grids, often just
-# x = 0 stops before the last round).
-_COMPACT_SHARE = 0.25
-
-
 def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
     every ``x`` of a 1-D array, with their residuals ``|g|``.
@@ -143,11 +137,9 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     ``p = 1`` that the minus equation has at every ``x``.  Iteration stops
     when the step or the bracket is below a few ulps of ``max(u, 1)``, not on
     the residual: near ``p = 1`` a whole range of ``p`` has a residual below
-    any useful tolerance.  A point's root is stored in the round it stops.
-    Once ``_COMPACT_SHARE`` of the working points have stopped, ``x``, ``u``
-    and the bracket shrink to the open points, so later rounds evaluate
-    only those; until then the stopped ones ride along.  Every root goes
-    through the same arithmetic as when its point is iterated alone.
+    any useful tolerance.  A point's root is stored in the round it stops;
+    stopped points ride along until every point has stopped, and their later
+    iterates are never read.
     """
     x = np.asarray(x, dtype=float)
     bad = ~(np.isfinite(x) & (x >= 0.0))
@@ -163,14 +155,12 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
         # bisection midpoint below halves lo and hi before adding them
         hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
     u_root = np.empty_like(x)
-    at = np.arange(x.size)  # where the working points sit in x
-    x_work = x
     u = x.copy()
-    stopped = None  # mask of the working points that have stopped, once any has
+    open = np.ones(x.shape, dtype=bool)  # the points that have not stopped
     ulp4 = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(200):
-            g, dg = _g(u, x_work, s)
+            g, dg = _g(u, x, s)
             np.copyto(lo, u, where=g > 0.0)
             np.copyto(hi, u, where=g < 0.0)
             step = g / dg
@@ -183,23 +173,14 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
             take_newton = small | ((lo < u) & (u < hi))
             if np.count_nonzero(take_newton) < u.size:
                 u = np.where(take_newton, u, 0.5 * lo + 0.5 * hi)
-            if stopped is not None:
-                done &= ~stopped
-            if not np.count_nonzero(done):
-                continue
-            u_root[at[done]] = u[done]
-            stopped = done if stopped is None else stopped | done
-            count = np.count_nonzero(stopped)
-            if count == stopped.size:
+            done &= open
+            np.copyto(u_root, u, where=done)
+            open &= ~done
+            if not np.count_nonzero(open):
                 break
-            if count >= _COMPACT_SHARE * stopped.size:
-                keep = ~stopped
-                at, x_work, u, lo, hi = at[keep], x_work[keep], u[keep], lo[keep], hi[keep]
-                stopped = None
         else:
-            open_x = x_work if stopped is None else x_work[~stopped]
             raise NumericalError(
-                f"root refinement did not converge at x = {float(open_x[0]):g}"
+                f"root refinement did not converge at x = {float(x[open][0]):g}"
             )
     g, p = _g(u_root, x, s, slope=False)
     residual = np.abs(g)

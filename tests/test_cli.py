@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from entrogup.cli import _parse_grid, main
+from entrogup.cli import _parse_floats, _parse_grid, main
 from entrogup.maxent import DEFAULT_FIT_GRID
 
 PUBLISHED_PLUS = -0.560565
@@ -390,6 +390,24 @@ def test_grid_count_above_bound_exits_2_quietly(argv, capsys, tmp_path, monkeypa
 
 def test_grid_count_at_bound_parses():
     assert _parse_grid("0:1:1048576").size == 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv", [("maxent", "--energies"), ("entropy", "--probs"), ("boltzmann", "--p")]
+)
+def test_value_list_above_bound_exits_2_quietly(argv, capsys):
+    # refused on the count, before any value is converted or solved
+    values = ",".join(["0.5"] * ((1 << 20) + 1))
+    code, out, err = run(capsys, *argv, values)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} takes at most 1048576 values, got 1048577\n"
+
+
+def test_value_list_bound_counts_values_not_separators():
+    with pytest.raises(ValueError, match="at most 1048576 values, got 1048577"):
+        _parse_floats(",".join(["x"] * ((1 << 20) + 1)), "--p")
+    # empty items are dropped before counting, as they are when parsing
+    assert len(_parse_floats("1," * (1 << 20) + ",,", "--p")) == 1 << 20
 
 
 def test_out_of_domain_gup_grid_names_bound(capsys):

@@ -477,20 +477,18 @@ def test_roots_bit_identical_on_log_uniform_points(xs):
 
 
 @pytest.mark.parametrize("s", [1, -1])
-def test_roots_evaluate_only_open_points(monkeypatch, s):
-    # The full-array loop evaluated g at every point in each of ~6 rounds plus
-    # the residual pass: 7n points on this spectrum.
-    evaluated = []
+def test_roots_name_the_first_point_left_open_at_the_round_cap(monkeypatch, s):
+    # g is NaN at x = 2, so that point neither moves its bracket nor stops;
+    # every other point stops in a few rounds and rides along to the cap
     g = maxent._g
 
-    def counting_g(u, x, *args, **kwargs):
-        evaluated.append(x.size)
-        return g(u, x, *args, **kwargs)
+    def nan_at_two(u, x, *args, **kwargs):
+        value, slope = g(u, x, *args, **kwargs)
+        return np.where(x == 2.0, np.nan, value), slope
 
-    monkeypatch.setattr(maxent, "_g", counting_g)
-    x = spectrum_x(21, 2000, 15.0)
-    maxent._roots(x, s, 1e-12)
-    assert sum(evaluated) < 6 * x.size
+    monkeypatch.setattr(maxent, "_g", nan_at_two)
+    with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
+        maxent._roots(np.linspace(0.0, 4.0, 9), s, 1e-12)
 
 
 # --------------------------------------------------------------------------
