@@ -37,30 +37,24 @@ _MAX_GRID_COUNT = 1 << 20
 
 @dataclass
 class Report:
-    """Ordered records, an optional table, and footer records."""
+    """Ordered records and an optional table.
+
+    With a table, the records are its footer and follow it; without one, they
+    are the whole report.
+    """
 
     command: str
     records: list[tuple[str, object]] = field(default_factory=list)
     columns: list[str] = field(default_factory=list)
     rows: list[list[object]] = field(default_factory=list)
-    footer: list[tuple[str, object]] = field(default_factory=list)
 
     def add(self, key: str, value: object) -> None:
         self.records.append((key, value))
-
-    def add_footer(self, key: str, value: object) -> None:
-        self.footer.append((key, value))
-
-    def set_table(self, columns: list[str], rows: list[list[object]]) -> None:
-        self.columns = list(columns)
-        self.rows = [list(row) for row in rows]
 
 
 def _fmt_value(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, _FLOAT_FMT)
     return str(value)
@@ -79,38 +73,31 @@ def _record_line(key: str, value: object) -> str:
 def _render_text(report: Report) -> str:
     lines = [_record_line(*rec) for rec in report.records]
     if report.rows:
-        if lines:
-            lines.append("")
-        header = list(report.columns)
         cells = [[_fmt_value(v) for v in row] for row in report.rows]
         widths = [
-            max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
-            for i in range(len(header))
+            max(len(name), *(len(row[i]) for row in cells))
+            for i, name in enumerate(report.columns)
         ]
-        lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    if report.footer:
-        if report.rows or report.records:
-            lines.append("")
-        lines.extend(_record_line(*rec) for rec in report.footer)
+        lines = [
+            "  ".join(name.rjust(w) for name, w in zip(report.columns, widths)),
+            "  ".join("-" * w for w in widths),
+            *("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells),
+            "",
+            *lines,
+        ]
     return "\n".join(lines) + "\n"
 
 
 def _render_csv(report: Report) -> str:
-    lines: list[str] = []
     if report.rows:
-        lines.extend(f"# {_record_line(*rec)}" for rec in report.records)
-        lines.append(",".join(report.columns))
-        for row in report.rows:
-            lines.append(",".join(_fmt_value(v) for v in row))
-        lines.extend(f"# {_record_line(*rec)}" for rec in report.footer)
+        lines = [
+            ",".join(report.columns),
+            *(",".join(_fmt_value(v) for v in row) for row in report.rows),
+            *(f"# {_record_line(*rec)}" for rec in report.records),
+        ]
     else:
         # Every value is dimensionless; the unit column keeps the format stable.
-        lines.append("key,value,unit")
-        for key, value in report.records + report.footer:
-            lines.append(f"{key},{_fmt_value(value)},1")
+        lines = ["key,value,unit", *(f"{key},{_fmt_value(v)},1" for key, v in report.records)]
     return "\n".join(lines) + "\n"
 
 
@@ -118,15 +105,14 @@ def _render_json(report: Report) -> str:
     import json
 
     payload: dict[str, object] = {"command": report.command}
-    if report.records:
-        payload["records"] = {key: _json_value(v) for key, v in report.records}
     if report.rows:
         payload["table"] = [
             {col: _json_value(v) for col, v in zip(report.columns, row)}
             for row in report.rows
         ]
-    if report.footer:
-        payload["footer"] = {key: _json_value(v) for key, v in report.footer}
+    payload["footer" if report.rows else "records"] = {
+        key: _json_value(v) for key, v in report.records
+    }
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -147,7 +133,10 @@ def _parse_grid(text: str) -> np.ndarray:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if not 1 <= count <= _MAX_GRID_COUNT:
                 raise ValueError
-            values = np.linspace(start, stop, count)
+            # An infinite endpoint or span fills the grid with inf and nan,
+            # which is refused below without numpy's warning.
+            with np.errstate(all="ignore"):
+                values = np.linspace(start, stop, count)
         else:
             raise ValueError
     except ValueError:
@@ -189,7 +178,6 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
     p_values = _parse_floats(args.p, "--p")
     energies = _parse_grid(args.grid)
 
-    report = Report("boltzmann")
     rows = []
     worst = 0.0
     for p in p_values:
@@ -202,11 +190,10 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
             diff = abs(quad - closed)
             worst = max(worst, diff / closed)
             rows.append([p, energy, closed, quad, series, diff])
-    report.set_table(
-        ["p", "beta0E", "closed", "quadrature", f"series{args.order}", "abs_diff"], rows
-    )
-    report.add_footer("max_rel_diff", worst)
-    report.add_footer("tol", args.tol)
+    columns = ["p", "beta0E", "closed", "quadrature", f"series{args.order}", "abs_diff"]
+    report = Report("boltzmann", columns=columns, rows=rows)
+    report.add("max_rel_diff", worst)
+    report.add("tol", args.tol)
 
     threshold = max(1e-7, 10.0 * args.tol)
     if worst > threshold:
@@ -249,23 +236,17 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("renyi", renyi(probs, args.q))
     # One state has no equiprobable expansion (it needs omega >= 2).
     if uniform and args.omega >= 2:
-        for nterms in (1, 2, 3):
-            report.add(
-                f"s_plus_partial{nterms}",
-                s_plus_equiprob_expansion(args.omega, nterms),
-            )
-        for nterms in (1, 2, 3):
-            report.add(
-                f"s_minus_partial{nterms}",
-                s_minus_equiprob_expansion(args.omega, nterms),
-            )
+        for name, expansion in (
+            ("s_plus", s_plus_equiprob_expansion),
+            ("s_minus", s_minus_equiprob_expansion),
+        ):
+            for nterms in (1, 2, 3):
+                report.add(f"{name}_partial{nterms}", expansion(args.omega, nterms))
     return report, 0
 
 
 def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
     from .maxent import _roots, maxent_distribution
-
-    report = Report("maxent")
 
     if args.energies is not None:
         energies = _parse_floats(args.energies, "--energies")
@@ -275,33 +256,22 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
             [i, energies[i], deformed[i], reference[i]]
             for i in range(len(energies))
         ]
-        report.set_table(["level", "energy", f"p_{args.kind}", "p_boltzmann"], rows)
-        report.add_footer("beta", args.beta)
-        report.add_footer("kind", args.kind)
-        report.add_footer(
+        columns = ["level", "energy", f"p_{args.kind}", "p_boltzmann"]
+        report = Report("maxent", columns=columns, rows=rows)
+        report.add("beta", args.beta)
+        report.add("kind", args.kind)
+        report.add(
             "total_variation",
             0.5 * math.fsum(abs(a - b) for a, b in zip(deformed, reference)),
         )
         return report, 0
 
     xs = _parse_grid(args.grid)
-    plus, residual_plus = _roots(xs, 1, args.tol)
-    minus, residual_minus = _roots(xs, -1, args.tol)
-    rows = [
-        [x, p_plus, res_plus, p_minus, res_minus, math.exp(-x)]
-        for x, p_plus, res_plus, p_minus, res_minus in zip(
-            xs.tolist(),
-            plus.tolist(),
-            residual_plus.tolist(),
-            minus.tolist(),
-            residual_minus.tolist(),
-        )
-    ]
-    report.set_table(
-        ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"],
-        rows,
-    )
-    report.add_footer("tol", args.tol)
+    solved = np.column_stack([xs, *_roots(xs, 1, args.tol), *_roots(xs, -1, args.tol)])
+    columns = ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"]
+    rows = [[*row, math.exp(-row[0])] for row in solved.tolist()]
+    report = Report("maxent", columns=columns, rows=rows)
+    report.add("tol", args.tol)
     return report, 0
 
 
@@ -326,23 +296,22 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
         ref = reference.a[j] if j <= reference.degree else None
         diff = value - ref if ref is not None else None
         rows.append([j, value, ref, diff])
-    report = Report("fit")
-    report.set_table(["j", "fitted", "reference", "diff"], rows)
-    report.add_footer("kind", args.kind)
-    report.add_footer("degree", args.order)
-    report.add_footer("residual_rms", fit.residual)
-    report.add_footer("grid", fit.grid)
-    report.add_footer("coeffs_file", out_path)
+    report = Report("fit", columns=["j", "fitted", "reference", "diff"], rows=rows)
+    report.add("kind", args.kind)
+    report.add("degree", args.order)
+    report.add("residual_rms", fit.residual)
+    report.add("grid", fit.grid)
+    report.add("coeffs_file", out_path)
     return report, 0
 
 
-def _add_regime(add, regime) -> None:
-    """Add the regime and whichever of its two scales exists, through ``add``."""
-    add("regime", regime.regime)
+def _add_regime(report: Report, regime) -> None:
+    """Add the regime and whichever of its two scales exists."""
+    report.add("regime", regime.regime)
     if regime.minimal_length is not None:
-        add("minimal_length", regime.minimal_length)
+        report.add("minimal_length", regime.minimal_length)
     if regime.max_momentum is not None:
-        add("max_momentum", regime.max_momentum)
+        report.add("max_momentum", regime.max_momentum)
 
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
@@ -382,7 +351,7 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("discrepancy", result.discrepancy)
     report.add("m_pl", params.m_pl)
     report.add("alpha", params.alpha)
-    _add_regime(report.add, regime_summary(params))
+    _add_regime(report, regime_summary(params))
     if coeffs.kind == "tsallis":
         nominal = 1.0 - coeffs.q
         report.add("q", coeffs.q)
@@ -423,13 +392,11 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
         rows.append(
             [k, p, commutator_rhs(params, p), uncertainty_lower_bound(params, p)]
         )
-    report = Report("gup")
-    report.set_table(["k", "p", "commutator", "dx_bound"], rows)
-
-    report.add_footer("alpha0", params.alpha0)
-    report.add_footer("m_pl", params.m_pl)
-    report.add_footer("alpha", params.alpha)
-    _add_regime(report.add_footer, regime_summary(params))
+    report = Report("gup", columns=["k", "p", "commutator", "dx_bound"], rows=rows)
+    report.add("alpha0", params.alpha0)
+    report.add("m_pl", params.m_pl)
+    report.add("alpha", params.alpha)
+    _add_regime(report, regime_summary(params))
     return report, 0
 
 
@@ -437,20 +404,15 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
 # parser
 
 
-# Every flag of the CLI.  Defaults are per subcommand, in _COMMANDS, and a
-# "(default: ...)" in a help text is filled in from there.
+# Every flag of the CLI.  Defaults and choices are per subcommand, in
+# _COMMANDS, and a "(default: ...)" in a help text is filled in from there.
 _FLAGS: dict[str, dict[str, object]] = {
-    "--format": dict(
-        choices=("text", "csv", "json"), help="output format (default: %(default)s)"
-    ),
+    "--format": dict(help="output format (default: %(default)s)"),
     "--tol": dict(type=float, help="numerical tolerance"),
     "--order": dict(type=int, help="series order / fit degree"),
     "--grid": dict(help="evaluation grid 'start:stop:count'"),
     "--coeffs": dict(help="coefficient file (fit output, derive input)"),
-    "--kind": dict(
-        choices=("plus", "minus", "tsallis"),
-        help="which statistics to use (default: %(default)s)",
-    ),
+    "--kind": dict(help="which statistics to use (default: %(default)s)"),
     "--q": dict(type=float, help="entropic index for q-statistics"),
     "--alpha0": dict(type=float, help="dimensionless deformation parameter"),
     "--mpl": dict(type=float, help="scale dividing alpha0 (default: %(default)g)"),
@@ -462,10 +424,11 @@ _FLAGS: dict[str, dict[str, object]] = {
 }
 
 # Each subcommand: handler, help text, and its flags besides --format with
-# their defaults.  A None default means "not given", which the handler reads as
-# a choice rather than a value: derive's --q then leaves the kind to --kind, and
-# fit's --grid is maxent.DEFAULT_FIT_GRID, read at run time so that boltzmann
-# and entropy never load maxent.
+# their defaults.  A tuple lists the flag's choices, its default first.  A None
+# default means "not given", which the handler reads as a choice rather than a
+# value: derive's --q then leaves the kind to --kind, and fit's --grid is
+# maxent.DEFAULT_FIT_GRID, read at run time so that boltzmann and entropy never
+# load maxent.
 _COMMANDS: dict[str, tuple] = {
     "boltzmann": (
         _cmd_boltzmann,
@@ -480,18 +443,20 @@ _COMMANDS: dict[str, tuple] = {
     "maxent": (
         _cmd_maxent,
         "implicit maximum-entropy solutions or a discrete distribution",
-        {"--energies": None, "--beta": 1.0, "--kind": "plus", "--grid": "0:3:31",
-         "--tol": 1e-12},
+        {"--energies": None, "--beta": 1.0, "--kind": ("plus", "minus"),
+         "--grid": "0:3:31", "--tol": 1e-12},
     ),
     "fit": (
         _cmd_fit,
         "fit generalized-exponential coefficients to the implicit solution",
-        {"--kind": "plus", "--order": 4, "--grid": None, "--tol": 1e-12, "--coeffs": None},
+        {"--kind": ("plus", "minus"), "--order": 4, "--grid": None, "--tol": 1e-12,
+         "--coeffs": None},
     ),
     "derive": (
         _cmd_derive,
         "deformation parameter from coefficients (file, --q, or built-in)",
-        {"--coeffs": None, "--kind": "plus", "--q": None, "--order": 8, "--mpl": 1.0},
+        {"--coeffs": None, "--kind": ("plus", "minus", "tsallis"), "--q": None,
+         "--order": 8, "--mpl": 1.0},
     ),
     "gup": (
         _cmd_gup,
@@ -509,8 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, defaults) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for flag, default in {"--format": "text", **defaults}.items():
-            command.add_argument(flag, default=default, **_FLAGS[flag])
+        # The formats are the renderers', text first.
+        for flag, default in {"--format": tuple(_RENDERERS), **defaults}.items():
+            choices = default if isinstance(default, tuple) else None
+            default = choices[0] if choices else default
+            command.add_argument(flag, default=default, choices=choices, **_FLAGS[flag])
         command.set_defaults(handler=handler)
     return parser
 

@@ -1,12 +1,17 @@
 """Command-line interface: formats, determinism, exit codes, command chaining."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from entrogup.cli import _parse_floats, _parse_grid, main
+from entrogup.cli import _COMMANDS, _FLAGS, _parse_floats, _parse_grid, main
 from entrogup.maxent import DEFAULT_FIT_GRID
 
 PUBLISHED_PLUS = -0.560565
@@ -224,6 +229,73 @@ def test_csv_table_mode_footer_comments(capsys):
     assert any(line.startswith("# regime = max_momentum") for line in lines)
 
 
+_GUP_ARGV = ("gup", "--alpha0", "-0.25", "--grid", "0.5:1:2")
+_ENTROPY_ARGV = ("entropy", "--probs", "0.25,0.75")
+_GUP_FOOTER = {"alpha0": -0.25, "m_pl": 1.0, "alpha": -0.25,
+               "regime": "max_momentum", "max_momentum": 2.0}
+_ENTROPY_RECORDS = {"n_outcomes": 2, "shannon": 0.562335145, "s_plus": 0.48696577,
+                    "s_minus": 0.655020041, "q": 2.0, "tsallis": 0.375,
+                    "renyi": 0.470003629}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, expected",
+    [
+        (_GUP_ARGV, "text",
+         "  k            p   commutator     dx_bound\n"
+         "---  -----------  -----------  -----------\n"
+         "0.5  0.489837325  0.940014849  0.959517376\n"
+         "  1  0.924234315  0.786447733  0.425459064\n"
+         "\n"
+         "alpha0 = -0.25\n"
+         "m_pl = 1\n"
+         "alpha = -0.25\n"
+         "regime = max_momentum\n"
+         "max_momentum = 2\n"),
+        (_GUP_ARGV, "csv",
+         "k,p,commutator,dx_bound\n"
+         "0.5,0.489837325,0.940014849,0.959517376\n"
+         "1,0.924234315,0.786447733,0.425459064\n"
+         "# alpha0 = -0.25\n"
+         "# m_pl = 1\n"
+         "# alpha = -0.25\n"
+         "# regime = max_momentum\n"
+         "# max_momentum = 2\n"),
+        (_GUP_ARGV, "json",
+         json.dumps({"command": "gup",
+                     "table": [{"k": 0.5, "p": 0.489837325, "commutator": 0.940014849,
+                                "dx_bound": 0.959517376},
+                               {"k": 1.0, "p": 0.924234315, "commutator": 0.786447733,
+                                "dx_bound": 0.425459064}],
+                     "footer": _GUP_FOOTER}, indent=2) + "\n"),
+        (_ENTROPY_ARGV, "text",
+         "n_outcomes = 2\n"
+         "shannon = 0.562335145\n"
+         "s_plus = 0.48696577\n"
+         "s_minus = 0.655020041\n"
+         "q = 2\n"
+         "tsallis = 0.375\n"
+         "renyi = 0.470003629\n"),
+        (_ENTROPY_ARGV, "csv",
+         "key,value,unit\n"
+         "n_outcomes,2,1\n"
+         "shannon,0.562335145,1\n"
+         "s_plus,0.48696577,1\n"
+         "s_minus,0.655020041,1\n"
+         "q,2,1\n"
+         "tsallis,0.375,1\n"
+         "renyi,0.470003629,1\n"),
+        (_ENTROPY_ARGV, "json",
+         json.dumps({"command": "entropy", "records": _ENTROPY_RECORDS}, indent=2) + "\n"),
+    ],
+)
+def test_output_layout_is_pinned(argv, fmt, expected, capsys):
+    # With a table, the records follow it as its footer; without one, they are
+    # the whole output.
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_text_table_alignment(capsys):
     _, out, _ = run(capsys, "maxent", "--grid", "0:1:3")
     lines = out.splitlines()
@@ -247,6 +319,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "boltzmann", "--p", "2.0")[0] == 2  # spread out of range
     assert run(capsys, "entropy", "--probs", "0.5,0.6")[0] == 2
     assert run(capsys, "maxent", "--energies", "1,2", "--kind", "tsallis")[0] == 2
+    assert run(capsys, "maxent", "--kind", "tsallis")[0] == 2  # no kind of the grid table
     assert run(capsys, "derive", "--coeffs", "/nonexistent/c.txt")[0] == 2
     assert run(capsys, "derive", "--mpl", "1e-170")[0] == 2  # m_pl**2 underflows
 
@@ -447,6 +520,9 @@ def test_numerical_failures_exit_3(capsys):
         (("boltzmann", "--p", "1e-308"), 3),
         # unreachable quadrature tolerance
         (("boltzmann", "--tol", "1e-16"), 3),
+        # an infinite grid endpoint or span
+        (("gup", "--alpha0", "0.36", "--grid", "0:inf:3"), 2),
+        (("maxent", "--grid", "-1e308:1e308:3"), 2),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr
@@ -506,6 +582,69 @@ def test_bad_coeffs_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("kind = plus\ndegree = 0\na0 = 1.0\nextra = 1\n", encoding="utf-8")
     assert run(capsys, "derive", "--coeffs", str(path))[0] == 2
+
+
+# --------------------------------------------------------------------------
+# fuzzing the command table
+
+# Values for each kind of flag: edge numbers, and grids and lists that are
+# empty, malformed or reversed.  Grid counts stay at most 64 and lists at most
+# 8 values, so that no draw runs for long.
+_INTS = ("-1", "0", "1", "2", "4", "6", "8", "64", "258", "1e300", "x", "")
+_FLOATS = ("-1", "-0.25", "0", "5e-324", "1e-12", "0.36", "1", "2", "1e300",
+           "nan", "inf", "-inf", "x", "")
+_TEXTS = ("0", "-1", "0.5", "nan", "inf", "1e300", "5e-324", "", ",", "x",
+          "0:1:2", "0.1:1:5", "0:3:64", "1:0:3", "-1:2:5", "0:1:0", "0:inf:3",
+          "1:2", "1:2:3:4", "a:b:c", "0.25,0.75", "0.2,0.5,0.9", "1,0", "0.5,-0.5",
+          "-1e308:1e308:3", "0,1,2,3,4,5,6,7", "0,800", "nan,1", "c.txt",
+          "no/such/dir/c.txt")
+
+
+def _flag_values(flag, default):
+    if isinstance(default, tuple):  # the flag's choices
+        return (*default, "tsallis", "nope")
+    return {int: _INTS, float: _FLOATS}.get(_FLAGS[flag].get("type"), _TEXTS)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    defaults = {"--format": ("text", "csv", "json"), **_COMMANDS[command][2]}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(defaults)), max_size=5)):
+        argv += [flag, draw(st.sampled_from(_flag_values(flag, defaults[flag])))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_fuzzed_command_table(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # fit writes ansatz-<kind>.txt to the cwd
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    # Warnings are errors in the call only: the pytest mark would also turn
+    # hypothesis's own warnings into errors while it reports a failure.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert time.perf_counter() - start < 10.0
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert "error" not in err
+        formats = [value for flag, value in zip(argv[1::2], argv[2::2]) if flag == "--format"]
+        if formats[-1:] == ["json"]:
+            payload = json.loads(out)
+            assert payload["command"] == argv[0]
+            assert ("records" in payload) != ("footer" in payload)
+            assert ("table" in payload) == ("footer" in payload)
+    elif err.startswith("error:"):
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code == 2 and out == ""
+        assert ": error: " in err.splitlines()[-1]
 
 
 # --------------------------------------------------------------------------
