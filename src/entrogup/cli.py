@@ -162,12 +162,14 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (report, exit_code).  Each imports what it
-# calls when it runs, so that a command loads only the submodules it uses (and
-# a tracer's patches of their functions take effect).
+# subcommand handlers: each returns its report, and a failed check raises
+# (ValueError for invalid input, NumericalError for a numerical failure), so
+# that main alone picks the exit code.  Each imports what it calls when it
+# runs, so that a command loads only the submodules it uses (and a tracer's
+# patches of their functions take effect).
 
 
-def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_boltzmann(args: argparse.Namespace) -> Report:
     from .superstats import (
         GammaBetaParams,
         boltzmann_closed,
@@ -178,6 +180,7 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
     p_values = _parse_floats(args.p, "--p")
     energies = _parse_grid(args.grid)
 
+    threshold = max(1e-7, 10.0 * args.tol)
     rows = []
     worst = 0.0
     for p in p_values:
@@ -188,25 +191,23 @@ def _cmd_boltzmann(args: argparse.Namespace) -> tuple[Report, int]:
             quad = boltzmann_quadrature(params, energy, tol=args.tol)
             series = boltzmann_series(params, energy, order=args.order)
             diff = abs(quad - closed)
-            worst = max(worst, diff / closed)
+            rel = diff / closed
+            # Written so that a NaN difference fails.
+            if not rel <= threshold:
+                raise NumericalError(
+                    f"closed form and quadrature disagree at p = {p!r}, beta0E = "
+                    f"{energy!r}: relative difference {rel:.3e} exceeds {threshold:.3e}"
+                )
+            worst = max(worst, rel)
             rows.append([p, energy, closed, quad, series, diff])
     columns = ["p", "beta0E", "closed", "quadrature", f"series{args.order}", "abs_diff"]
     report = Report("boltzmann", columns=columns, rows=rows)
     report.add("max_rel_diff", worst)
     report.add("tol", args.tol)
-
-    threshold = max(1e-7, 10.0 * args.tol)
-    if worst > threshold:
-        print(
-            f"error: closed form and quadrature disagree: relative difference "
-            f"{worst:.3e} exceeds {threshold:.3e}",
-            file=sys.stderr,
-        )
-        return report, 3
-    return report, 0
+    return report
 
 
-def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_entropy(args: argparse.Namespace) -> Report:
     from .entropy import (
         ProbVector,
         renyi,
@@ -242,10 +243,10 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[Report, int]:
         ):
             for nterms in (1, 2, 3):
                 report.add(f"{name}_partial{nterms}", expansion(args.omega, nterms))
-    return report, 0
+    return report
 
 
-def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_maxent(args: argparse.Namespace) -> Report:
     from .maxent import _roots, maxent_distribution
 
     if args.energies is not None:
@@ -264,7 +265,7 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
             "total_variation",
             0.5 * math.fsum(abs(a - b) for a, b in zip(deformed, reference)),
         )
-        return report, 0
+        return report
 
     xs = _parse_grid(args.grid)
     solved = np.column_stack([xs, *_roots(xs, 1, args.tol), *_roots(xs, -1, args.tol)])
@@ -272,10 +273,10 @@ def _cmd_maxent(args: argparse.Namespace) -> tuple[Report, int]:
     rows = [[*row, math.exp(-row[0])] for row in solved.tolist()]
     report = Report("maxent", columns=columns, rows=rows)
     report.add("tol", args.tol)
-    return report, 0
+    return report
 
 
-def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_fit(args: argparse.Namespace) -> Report:
     from .maxent import (
         DEFAULT_FIT_GRID,
         REFERENCE_MINUS,
@@ -302,7 +303,7 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("residual_rms", fit.residual)
     report.add("grid", fit.grid)
     report.add("coeffs_file", out_path)
-    return report, 0
+    return report
 
 
 def _add_regime(report: Report, regime) -> None:
@@ -314,7 +315,7 @@ def _add_regime(report: Report, regime) -> None:
         report.add("max_momentum", regime.max_momentum)
 
 
-def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_derive(args: argparse.Namespace) -> Report:
     from .gup import GupParams, deformation_pipeline, regime_summary, tsallis_coeffs
     from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, load_coeffs
     from .series import MAX_ORDER
@@ -358,18 +359,10 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[Report, int]:
         report.add("alpha0_nominal", nominal)
         if nominal != 0.0:
             report.add("pipeline_to_nominal", result.alpha0_pipeline / nominal)
-
-    if result.discrepancy > 1e-9:
-        print(
-            f"error: series pipeline and closed form disagree by "
-            f"{result.discrepancy:.3e}",
-            file=sys.stderr,
-        )
-        return report, 3
-    return report, 0
+    return report
 
 
-def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_gup(args: argparse.Namespace) -> Report:
     from .gup import (
         GupParams,
         commutator_rhs,
@@ -397,7 +390,7 @@ def _cmd_gup(args: argparse.Namespace) -> tuple[Report, int]:
     report.add("m_pl", params.m_pl)
     report.add("alpha", params.alpha)
     _add_regime(report, regime_summary(params))
-    return report, 0
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
         # Checked before the handler reads any other argument.
         if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ValueError(f"--tol must be positive, got {args.tol!r}")
-        report, exit_code = args.handler(args)
+        report = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -524,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(_RENDERERS[args.format](report))
-    return exit_code
+    return 0
 
 
 def main_entry() -> None:

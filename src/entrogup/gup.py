@@ -174,11 +174,18 @@ def deformation_closed(a1: float, a2: float) -> float:
 def deformation_pipeline(
     coeffs: AnsatzCoeffs, order: int = DEFAULT_ORDER
 ) -> PipelineReport:
-    """Run the full series pipeline and compare with the closed form.
+    """Run the full series pipeline and check it against the closed form.
 
     ``alpha0`` is three times the cubic coefficient of the normalized
     momentum series; for valid inputs it agrees with
     :func:`deformation_closed` to roundoff.
+
+    Raises
+    ------
+    NumericalError
+        Unless the two routes agree to ``1e-9 * max(1, |alpha0_closed|)``:
+        ``1e-9`` absolute for ``|alpha0| <= 1``, relative above.  A NaN or
+        infinite ``alpha0`` from either route fails the check.
     """
     a1 = coeffs.a[1] if coeffs.degree >= 1 else 0.0
     a2 = coeffs.a[2] if coeffs.degree >= 2 else 0.0
@@ -189,6 +196,12 @@ def deformation_pipeline(
     normalized = normalize_momentum(momentum)
     alpha0 = 3.0 * normalized.coeffs[3]
     closed = deformation_closed(a1, a2)
+    discrepancy = abs(alpha0 - closed)
+    # Written so that a NaN or an infinity on either side fails.
+    if not (math.isfinite(closed) and discrepancy <= 1e-9 * max(1.0, abs(closed))):
+        raise NumericalError(
+            f"series pipeline and closed form disagree by {discrepancy:.3e}"
+        )
     return PipelineReport(
         coeffs=coeffs,
         hamiltonian=hamiltonian,
@@ -196,7 +209,7 @@ def deformation_pipeline(
         momentum_normalized=normalized,
         alpha0_pipeline=alpha0,
         alpha0_closed=closed,
-        discrepancy=abs(alpha0 - closed),
+        discrepancy=discrepancy,
     )
 
 

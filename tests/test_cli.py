@@ -11,6 +11,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from entrogup import gup, superstats
 from entrogup.cli import _COMMANDS, _FLAGS, _parse_floats, _parse_grid, main
 from entrogup.maxent import DEFAULT_FIT_GRID
 
@@ -170,6 +171,15 @@ def test_derive_mpl_scaling(capsys):
     assert code == 0
     records = json.loads(out)["records"]
     assert records["alpha"] == pytest.approx(records["alpha0_pipeline"] / 4.0)
+
+
+@pytest.mark.parametrize("q", ["1e8", "-1e8"])
+def test_derive_agreement_bound_is_relative_above_one(q, capsys):
+    # |alpha0| = 3.75e7, where the two routes differ by one ulp (7.45e-9): an
+    # absolute 1e-9 bound refused it with exit 3
+    code, out, err = run(capsys, "derive", f"--q={q}")
+    assert (code, err) == (0, "")
+    assert "discrepancy = " in out
 
 
 def test_fit_then_derive_chain(tmp_path, capsys):
@@ -497,13 +507,37 @@ def test_overflowing_alpha_names_the_overflow(capsys):
     assert "alpha = alpha0/m_pl**2 overflows" in err
 
 
+def assert_exit_3(capsys, *argv):
+    """Exit 3 prints no report and exactly one ``error:`` line; returns it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
 def test_numerical_failures_exit_3(capsys):
     # unreachable solver tolerance: some grid point keeps a rounding residual
-    code, _, err = run(capsys, "maxent", "--tol", "1e-30")
-    assert code == 3
-    assert "error:" in err
+    assert_exit_3(capsys, "maxent", "--tol", "1e-30")
+    # a level whose probability underflows
+    assert_exit_3(capsys, "maxent", "--energies", "0,800")
     # unreachable quadrature tolerance
-    assert run(capsys, "boltzmann", "--tol", "1e-16")[0] == 3
+    assert_exit_3(capsys, "boltzmann", "--tol", "1e-16")
+
+
+def test_boltzmann_disagreement_prints_no_report(monkeypatch, capsys):
+    closed = superstats.boltzmann_closed
+    monkeypatch.setattr(superstats, "boltzmann_quadrature",
+                        lambda params, energy, tol: 1.001 * closed(params, energy))
+    err = assert_exit_3(capsys, "boltzmann")
+    # the first point of the default table
+    assert "disagree at p = 0.2, beta0E = 0.0: relative difference 1.000e-03" in err
+
+
+def test_derive_disagreement_prints_no_report(monkeypatch, capsys):
+    closed = gup.deformation_closed
+    monkeypatch.setattr(gup, "deformation_closed", lambda a1, a2: closed(a1, a2) + 1e-6)
+    err = assert_exit_3(capsys, "derive")
+    assert err == "error: series pipeline and closed form disagree by 1.000e-06\n"
 
 
 @pytest.mark.parametrize(
@@ -632,6 +666,8 @@ def test_fuzzed_command_table(argv, tmp_path, monkeypatch):
     assert time.perf_counter() - start < 10.0
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3)
+    if code == 3:
+        assert out == ""
     if code == 0:
         assert "error" not in err
         formats = [value for flag, value in zip(argv[1::2], argv[2::2]) if flag == "--format"]

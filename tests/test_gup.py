@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from entrogup import gup
+from entrogup.errors import NumericalError
 from entrogup.gup import (
     QEXP_PIPELINE_RATIO,
     REFERENCE_MINUS,
@@ -141,6 +143,27 @@ def test_pipeline_matches_closed_form_on_random_coefficients():
         coeffs = AnsatzCoeffs((1.0, a1, a2, a3, a4))
         report = deformation_pipeline(coeffs)
         assert report.discrepancy <= 1e-9
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda closed: closed + 2e-9,
+    lambda closed: math.nan,
+    lambda closed: math.inf,
+    lambda closed: -math.inf,
+], ids=["off_by_2e-9", "nan", "inf", "-inf"])
+def test_pipeline_refuses_a_closed_form_it_disagrees_with(wrong, monkeypatch):
+    # at alpha0 ~ 0.36 the bound is 1e-9 absolute, as it was before it became
+    # relative above |alpha0| = 1; no NaN or infinity passes it
+    closed = gup.deformation_closed
+    monkeypatch.setattr(gup, "deformation_closed", lambda a1, a2: wrong(closed(a1, a2)))
+    with pytest.raises(NumericalError, match="series pipeline and closed form disagree by"):
+        deformation_pipeline(REFERENCE_MINUS)
+
+
+def test_pipeline_bound_is_relative_above_one():
+    # alpha0 = -3.75e7, where one ulp (7.45e-9) is already above 1e-9
+    report = deformation_pipeline(tsallis_coeffs(1e8))
+    assert 1e-9 < report.discrepancy <= 1e-9 * abs(report.alpha0_closed)
 
 
 def test_pipeline_rejects_non_positive_kinetic_term():
