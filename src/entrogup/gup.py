@@ -125,33 +125,43 @@ def effective_hamiltonian_series(
 
     The expansion starts ``(1-a1)/2 k**2 + (a1**2 - 2 a2)/8 k**4 + ...``.
     ``order`` must be even and lie in ``[4, MAX_ORDER]``.
+
+    Every term is a power of ``y = k**2``, so the series is built in ``y`` to
+    order ``order/2`` and then spread onto the even powers of ``k``.
     """
     order = operator.index(order)
     if order < 4 or order % 2 != 0:
         raise ValueError(f"order must be an even integer >= 4, got {order}")
     if order > MAX_ORDER:
         raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
-    h_coeffs = [0.0] * (order + 1)
-    h_coeffs[2] = 0.5
-    h_free = TruncatedSeries(tuple(h_coeffs))
+    half = order // 2
+    h_free = TruncatedSeries((0.0, 0.5) + (0.0,) * (half - 1))
     # Padding the polynomial with zeros is harmless: a term a_j H**j with
-    # j > order/2 starts at wavenumber order 2j > order, outside the truncation.
-    padded = tuple(coeffs.a[: order + 1]) + (0.0,) * max(0, order + 1 - len(coeffs.a))
+    # j > order/2 starts at y order j > order/2, outside the truncation.
+    padded = tuple(coeffs.a[: half + 1]) + (0.0,) * max(0, half + 1 - len(coeffs.a))
     weight_sum = compose(TruncatedSeries(padded), h_free)
-    return h_free - ln_one_plus(weight_sum - 1.0)
+    h_y = h_free - ln_one_plus(weight_sum - 1.0)
+    h_k = [0.0] * (order + 1)
+    h_k[::2] = h_y.coeffs
+    return TruncatedSeries(h_k)
 
 
 def effective_momentum_series(h: TruncatedSeries) -> TruncatedSeries:
-    """Odd series ``sqrt(2 h)`` for an even ``h`` with positive ``k**2`` term."""
+    """Odd series ``sqrt(2 h)`` for an even ``h`` with positive ``k**2`` term.
+
+    With ``y = k**2``, ``sqrt(2 h) = k sqrt(2 h / k**2)``: the root is taken in
+    ``y`` and placed on the odd powers of ``k``.
+    """
     if h.coeffs[0] != 0.0 or any(c != 0.0 for c in h.coeffs[1::2]):
         raise ValueError("the effective Hamiltonian must be even with no constant term")
     if h.order < 2 or h.coeffs[2] <= 0.0:
         raise ValueError(
             "the k**2 coefficient must be positive (requires a1 < 1)"
         )
-    reduced = TruncatedSeries(tuple(2.0 * c for c in h.coeffs[2:]))
-    root = sqrt_series(reduced)
-    return TruncatedSeries((0.0,) + root.coeffs)
+    root = sqrt_series(TruncatedSeries(tuple(2.0 * c for c in h.coeffs[2::2])))
+    p_k = [0.0] * h.order
+    p_k[1::2] = root.coeffs
+    return TruncatedSeries(p_k)
 
 
 def normalize_momentum(p: TruncatedSeries) -> TruncatedSeries:

@@ -171,7 +171,12 @@ def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("sqrt needs a series with positive constant term")
     out = [math.sqrt(c0)]
     for m in range(1, a.order + 1):
-        cross = math.fsum(out[j] * out[m - j] for j in range(1, m))
+        try:
+            cross = math.fsum(out[j] * out[m - j] for j in range(1, m))
+        except (OverflowError, ValueError):
+            # fsum's own "intermediate overflow" and "-inf + inf" errors: the
+            # same non-finite coefficient every other series function refuses.
+            raise ValueError("series coefficients must be finite") from None
         out.append((a.coeffs[m] - cross) / (2.0 * out[0]))
     return TruncatedSeries(tuple(out))
 
@@ -187,10 +192,15 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("composition requires an inner series with zero constant term")
     n = min(outer.order, inner.order)
     oc = outer.coeffs[: n + 1]
+    # Horner steps over the zero top of a zero-padded outer polynomial only
+    # convolve zeros, so Horner starts at its highest nonzero coefficient.
+    top = n
+    while top > 0 and oc[top] == 0.0:
+        top -= 1
     inner_t = np.array(inner.coeffs[: n + 1])
     acc = np.zeros(n + 1)
-    acc[0] = oc[-1]
-    for c in reversed(oc[:-1]):
+    acc[0] = oc[top]
+    for c in reversed(oc[:top]):
         acc = _cauchy(acc, inner_t, n)
         acc[0] += c
     return TruncatedSeries(acc.tolist())

@@ -598,6 +598,20 @@ def test_overflowing_series_coefficients_exit_2(tmp_path, capsys):
     assert err == "error: series coefficients must be finite\n"
 
 
+@pytest.mark.parametrize("a2", ["0.0", "100.0"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_momentum_root_exits_2(a2, tmp_path, capsys):
+    # the Hamiltonian series stays finite to order 256; the square root's
+    # running sums overflow (a2 = 0) or meet -inf + inf (a2 = 100)
+    path = tmp_path / "root.txt"
+    path.write_text(f"kind = plus\ndegree = 3\na0 = 1.0\na1 = 0.0\na2 = {a2}\n"
+                    "a3 = -1e8\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--coeffs", str(path), "--order", "256")
+    assert code == 2
+    assert out == ""
+    assert err == "error: series coefficients must be finite\n"
+
+
 def test_fit_window_too_wide_for_degree_exits_2_quietly(tmp_path):
     # x**4 overflows on this grid; numpy and LAPACK would write to stderr
     proc = subprocess.run(

@@ -1,10 +1,12 @@
 """Coefficients-to-deformation pipeline and the deformed uncertainty relation."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from entrogup import gup
@@ -27,7 +29,13 @@ from entrogup.gup import (
     uncertainty_lower_bound,
 )
 from entrogup.maxent import AnsatzCoeffs
-from entrogup.series import MAX_ORDER
+from entrogup.series import (
+    MAX_ORDER,
+    TruncatedSeries,
+    compose,
+    ln_one_plus,
+    sqrt_series,
+)
 
 # published values the pipeline must land on (tolerance 1e-5)
 ALPHA0_PLUS_PUBLISHED = -0.560565
@@ -95,6 +103,124 @@ def _odd_bump():
     from entrogup.series import TruncatedSeries
 
     return TruncatedSeries((0.0, 0.0, 0.0, 1e-3, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+# --------------------------------------------------------------------------
+# the half-order route in y = k**2 against the k-space route
+#
+# The two functions below build the same series in the wavenumber itself, odd
+# slots and all, as the pipeline once did.  The y route must reach the same
+# outcome: the same alpha0 to the bit (it reads the y**1 and y**2 terms, whose
+# sums have one nonzero term each) and the same refusal.  Other coefficients
+# may differ by rounding, as np.convolve groups a shorter sum differently.  A
+# coefficient whose terms cancel can be far below its own rounding error: at
+# order 256 the y**100 term of tsallis q = 1.5 is -1.2e-62, both routes give
+# about -1e-58, and its terms' magnitudes sum to 4e-42.  So the bound is
+# relative to that sum, the coefficient's rounding scale.
+
+
+def kspace_hamiltonian_series(coeffs, order):
+    if order < 4 or order % 2 != 0:
+        raise ValueError(f"order must be an even integer >= 4, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
+    h_coeffs = [0.0] * (order + 1)
+    h_coeffs[2] = 0.5
+    h_free = TruncatedSeries(tuple(h_coeffs))
+    padded = tuple(coeffs.a[: order + 1]) + (0.0,) * max(0, order + 1 - len(coeffs.a))
+    weight_sum = compose(TruncatedSeries(padded), h_free)
+    return h_free - ln_one_plus(weight_sum - 1.0)
+
+
+def kspace_momentum_series(h):
+    if h.coeffs[0] != 0.0 or any(c != 0.0 for c in h.coeffs[1::2]):
+        raise ValueError("the effective Hamiltonian must be even with no constant term")
+    if h.order < 2 or h.coeffs[2] <= 0.0:
+        raise ValueError("the k**2 coefficient must be positive (requires a1 < 1)")
+    root = sqrt_series(TruncatedSeries(tuple(2.0 * c for c in h.coeffs[2:])))
+    return TruncatedSeries((0.0,) + root.coeffs)
+
+
+def pipeline_outcome(coeffs, order):
+    """The pipeline's report, or the type and message of what it raised."""
+    try:
+        return deformation_pipeline(coeffs, order=order)
+    except (ValueError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def kspace_outcome(coeffs, order):
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gup, "effective_hamiltonian_series", kspace_hamiltonian_series)
+        patched.setattr(gup, "effective_momentum_series", kspace_momentum_series)
+        return pipeline_outcome(coeffs, order)
+
+
+def rounding_scales(coeffs, order, lead):
+    """Hamiltonian and momentum series rebuilt with every term made positive.
+
+    No sum cancels there, so each coefficient's rounding error on either route
+    is a modest multiple of ``order * eps`` times the matching scale.  ``lead``
+    is the momentum's linear coefficient.  None where a scale overflows.
+    """
+    half = order // 2
+    a = [abs(c) for c in coeffs.a[: half + 1]] + [0.0] * max(0, half + 1 - len(coeffs.a))
+    h_free = TruncatedSeries((0.0, 0.5) + (0.0,) * (half - 1))
+    try:
+        # -ln(1 - u) = sum_m u**m / m
+        h = h_free - ln_one_plus(-(compose(TruncatedSeries(a), h_free) - 1.0))
+        root = [lead]
+        for m in range(1, half):
+            cross = math.fsum(root[j] * root[m - j] for j in range(1, m))
+            root.append((2.0 * h.coeffs[m + 1] + cross) / (2.0 * lead))
+    except (ValueError, OverflowError):
+        return None
+    h_k, p_k = [0.0] * (order + 1), [0.0] * order
+    h_k[::2], p_k[1::2] = h.coeffs, root
+    return h_k, p_k, [c / lead for c in p_k]
+
+
+# magnitudes 1e-300 to 1e300 of either sign, log-uniform, so that draws range
+# from nearly free (every power tiny) to overflowing in the first product
+wide_coeff = st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from((1.0, -1.0)),
+    st.integers(-300, 299),
+    st.floats(1.0, 10.0, exclude_max=True),
+)
+
+
+@given(
+    st.lists(wide_coeff, min_size=0, max_size=6),
+    st.integers(2, MAX_ORDER // 2).map(lambda half: 2 * half),
+)
+# terms cancel here, and some coefficients differ by more than 1e-12 of their
+# own size
+@example([-10.0, 10.0], 256)
+@example([-1.0, 1.0, -1.0], 256)
+@settings(max_examples=300, deadline=None)
+def test_half_order_route_equals_kspace_route(tail, order):
+    coeffs = AnsatzCoeffs((1.0, *tail))
+    # An overflow on either route must not warn.  Warnings are errors in the
+    # calls only, so that hypothesis can still report a failing example.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, expected = pipeline_outcome(coeffs, order), kspace_outcome(coeffs, order)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, gup.PipelineReport)
+    for name in ("alpha0_pipeline", "alpha0_closed", "discrepancy"):
+        assert getattr(got, name).hex() == getattr(expected, name).hex()
+    names = ("hamiltonian", "momentum", "momentum_normalized")
+    for name in names:
+        assert len(getattr(got, name).coeffs) == len(getattr(expected, name).coeffs)
+    scales = rounding_scales(coeffs, order, got.momentum.coeffs[1])
+    if scales is None:
+        return
+    for name, scale in zip(names, scales):
+        for x, y, bound in zip(getattr(got, name).coeffs, getattr(expected, name).coeffs, scale):
+            assert abs(x - y) <= 1e-12 * bound
 
 
 def test_normalize_momentum():

@@ -336,6 +336,10 @@ def test_tsallis_coeffs_equal_reference(order, monkeypatch):
         (compose, (TruncatedSeries((0.0, 1e300, 1e300)), TruncatedSeries((0.0, 1e300, 1e300)))),
         (compose, (TruncatedSeries((1.0, 1.0, 1.0, 1e300)), TruncatedSeries((0.0, 1e300, 0.0, 0.0)))),
         (mul, (TruncatedSeries((1e300, 1e300)), TruncatedSeries((1e300, -1e300)))),
+        # every product is finite; fsum's running sum 1.7e308 + 1.7e308 overflows
+        (sqrt_series, (TruncatedSeries((0.25, 1.0, 1.7e308, 0.0)),)),
+        # the x**4 cross terms are -inf, +inf, -inf
+        (sqrt_series, (TruncatedSeries((0.25, 1e154, 1.7e308, 0.0, -1.7e308)),)),
     ],
 )
 @pytest.mark.filterwarnings("error")  # an overflow on the way must not warn
