@@ -1,6 +1,8 @@
 """Implicit-equation solvers, the generalized-exponential fit, and coefficient IO."""
 
+import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -391,13 +393,14 @@ def g_loop(u, x, s):
     return g, dg
 
 
-def roots_loop(x, s, tol=1e-12):
-    """Every point iterated in every round until all have stopped."""
+def roots_loop(x, s, u, tol=1e-12):
+    """Every point iterated in every round until all have stopped, from the
+    starting iterate ``u`` clipped into the bracket; returns ``u`` and ``|g|``."""
     x = np.asarray(x, dtype=float)
     lo = 0.5 * x if s < 0 else np.zeros_like(x)
     with np.errstate(over="ignore"):
         hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
-    u = x.copy()
+    u = np.clip(u, lo, hi)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(200):
         g, dg = g_loop(u, x, s)
@@ -418,6 +421,31 @@ def roots_loop(x, s, tol=1e-12):
         raise NumericalError("root refinement did not converge")
     residual = np.abs(g_loop(u, x, s)[0])
     assert residual.max() <= tol
+    return u, residual
+
+
+@functools.cache
+def start_ratios(s):
+    """u / x at the start-table nodes, from roots_loop's cold start u = x; the
+    node at 0 is extrapolated from the next two and the last one is 1."""
+    nodes = np.arange(round(maxent._TABLE_END / maxent._STEP) + 1) * maxent._STEP
+    u, _ = roots_loop(nodes, s, nodes)
+    ratio = u / np.where(nodes > 0.0, nodes, 1.0)
+    ratio[0] = 2.0 * ratio[1] - ratio[2]
+    ratio[-1] = 1.0
+    return ratio
+
+
+def table_start(x, s):
+    """x times the linear interpolant of start_ratios(s), x clamped to its end."""
+    ratio = start_ratios(s)
+    t = np.minimum(x, maxent._TABLE_END) / maxent._STEP
+    k = np.minimum(np.floor(t), ratio.size - 2).astype(int)
+    return x * (ratio[k] + (t - k) * (ratio[k + 1] - ratio[k]))
+
+
+def roots_reference(x, s):
+    u, residual = roots_loop(x, s, table_start(x, s))
     return np.exp(-u), residual
 
 
@@ -442,7 +470,7 @@ SOLVER_INPUTS = {
 def test_roots_bit_identical_to_full_array_loop(name, s):
     x = SOLVER_INPUTS[name]
     p, residual = maxent._roots(x, s, 1e-12)
-    p_ref, residual_ref = roots_loop(x, s)
+    p_ref, residual_ref = roots_reference(x, s)
     assert np.array_equal(p, p_ref)
     assert np.array_equal(residual, residual_ref)
 
@@ -453,7 +481,7 @@ def test_roots_bit_identical_on_random_points(xs):
     x = np.array(xs)
     for s in (1, -1):
         p, residual = maxent._roots(x, s, 1e-12)
-        p_ref, residual_ref = roots_loop(x, s)
+        p_ref, residual_ref = roots_reference(x, s)
         assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
 
 
@@ -472,23 +500,82 @@ def test_roots_bit_identical_on_log_uniform_points(xs):
     x = np.array(xs)
     for s in (1, -1):
         p, residual = maxent._roots(x, s, 1e-12)
-        p_ref, residual_ref = roots_loop(x, s)
+        p_ref, residual_ref = roots_reference(x, s)
         assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
+
+
+# the start table's nodes, its end, the first double past it, and the ends of
+# the double range
+TABLE_X = (
+    st.integers(0, round(maxent._TABLE_END / maxent._STEP)).map(lambda k: k * maxent._STEP)
+    | st.sampled_from(
+        [maxent._TABLE_END, math.nextafter(maxent._TABLE_END, math.inf), 5e-324, 1.7e308]
+    )
+)
+
+
+@given(st.lists(SOLVER_X | TABLE_X, min_size=1, max_size=300))
+# the largest distance found in 8e6 uniform draws on [0, 12]: 4.8 eps
+@example([2.747530357385009])
+@settings(max_examples=100, deadline=None)
+def test_table_start_keeps_the_cold_start_roots(xs):
+    # Both starts stop within the width of the root's rounding interval: up to
+    # two stop-rule widths apart where g's rounding blurs the root (plus kind,
+    # x ~ 2.5, where |dg| < 1).
+    x = np.array(xs)
+    for s in (1, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, residual = maxent._roots(x, s, 1e-12)
+            u = maxent._newton(x, s, maxent._start(x, s))
+        u_cold, _ = roots_loop(x, s, x)
+        assert np.all(np.abs(u - u_cold) <= 8.0 * np.finfo(float).eps * np.maximum(u_cold, 1.0))
+        assert np.array_equal(p == 0.0, np.exp(-u_cold) == 0.0)
+        assert residual.max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("name", ["fit-default", "fit-wide", "spectrum", "spectrum-past-floor"])
+def test_roots_stop_in_three_rounds(monkeypatch, name, s):
+    # three Newton rounds and the residual pass; from u = x it took six and one
+    x = SOLVER_INPUTS[name]
+    maxent._roots(x, s, 1e-12)  # the start table is built outside the count
+    calls = []
+    g = maxent._g
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(maxent, "_g", counted)
+    maxent._roots(x, s, 1e-12)
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("s", [1, -1])
 def test_roots_name_the_first_point_left_open_at_the_round_cap(monkeypatch, s):
     # g is NaN at x = 2, so that point neither moves its bracket nor stops;
-    # every other point stops in a few rounds and rides along to the cap
+    # every other point stops in a few rounds and rides along to the cap.
+    # x = 2 is a node of the start table too: with no table cached, the
+    # build stops there first and must leave no table behind.
     g = maxent._g
 
     def nan_at_two(u, x, *args, **kwargs):
         value, slope = g(u, x, *args, **kwargs)
         return np.where(x == 2.0, np.nan, value), slope
 
+    x = np.linspace(0.0, 4.0, 9)
+    monkeypatch.setattr(maxent, "_tables", {})
     monkeypatch.setattr(maxent, "_g", nan_at_two)
     with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
-        maxent._roots(np.linspace(0.0, 4.0, 9), s, 1e-12)
+        maxent._roots(x, s, 1e-12)
+    assert not maxent._tables
+    monkeypatch.setattr(maxent, "_g", g)
+    maxent._roots(x, s, 1e-12)
+    assert s in maxent._tables
+    monkeypatch.setattr(maxent, "_g", nan_at_two)
+    with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
+        maxent._roots(x, s, 1e-12)
 
 
 # --------------------------------------------------------------------------
