@@ -27,7 +27,6 @@ from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
     TruncatedSeries,
-    compose,
     exp_series,
     ln_one_plus,
     sqrt_series,
@@ -135,14 +134,14 @@ def effective_hamiltonian_series(
     if order > MAX_ORDER:
         raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {order}")
     half = order // 2
-    h_free = TruncatedSeries((0.0, 0.5) + (0.0,) * (half - 1))
-    # Padding the polynomial with zeros is harmless: a term a_j H**j with
-    # j > order/2 starts at y order j > order/2, outside the truncation.
-    padded = tuple(coeffs.a[: half + 1]) + (0.0,) * max(0, half + 1 - len(coeffs.a))
-    weight_sum = compose(TruncatedSeries(padded), h_free)
-    h_y = h_free - ln_one_plus(weight_sum - 1.0)
+    # sum_j a_j H**j is sum_j a_j 2**-j y**j; terms with j > order/2 start
+    # above the truncation.
+    tail = [math.ldexp(a, -j) for j, a in enumerate(coeffs.a[1 : half + 1], 1)]
+    ln_w = ln_one_plus(TruncatedSeries((0.0, *tail) + (0.0,) * (half - len(tail))))
+    # 0.0 - c rather than -c: a zero coefficient stays +0, never -0.
     h_k = [0.0] * (order + 1)
-    h_k[::2] = h_y.coeffs
+    h_k[::2] = [0.0 - c for c in ln_w.coeffs]
+    h_k[2] += 0.5
     return TruncatedSeries(h_k)
 
 
@@ -243,8 +242,10 @@ def tsallis_coeffs(q: float, order: int = 4) -> AnsatzCoeffs:
         return AnsatzCoeffs((1.0,) + (0.0,) * order, kind="tsallis", q=1.0)
     lam = 1.0 - q
     linear = TruncatedSeries((0.0, -lam) + (0.0,) * (order - 1))
-    exponent = ln_one_plus(linear) * (1.0 / lam) + TruncatedSeries.variable(order)
-    poly = exp_series(exponent)
+    # ln(1 - lam x)/lam + x: the x terms cancel by construction, so the x slot
+    # is set to 0 rather than summed (-lam * (1/lam) + 1 need not round to 0).
+    log_part = ln_one_plus(linear) * (1.0 / lam)
+    poly = exp_series(TruncatedSeries((0.0, 0.0) + log_part.coeffs[2:]))
     return AnsatzCoeffs(poly.coeffs, kind="tsallis", q=q)
 
 

@@ -192,15 +192,10 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("composition requires an inner series with zero constant term")
     n = min(outer.order, inner.order)
     oc = outer.coeffs[: n + 1]
-    # Horner steps over the zero top of a zero-padded outer polynomial only
-    # convolve zeros, so Horner starts at its highest nonzero coefficient.
-    top = n
-    while top > 0 and oc[top] == 0.0:
-        top -= 1
     inner_t = np.array(inner.coeffs[: n + 1])
     acc = np.zeros(n + 1)
-    acc[0] = oc[top]
-    for c in reversed(oc[:top]):
+    acc[0] = oc[-1]
+    for c in reversed(oc[:-1]):
         acc = _cauchy(acc, inner_t, n)
         acc[0] += c
     return TruncatedSeries(acc.tolist())

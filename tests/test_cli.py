@@ -175,11 +175,21 @@ def test_derive_mpl_scaling(capsys):
 
 @pytest.mark.parametrize("q", ["1e8", "-1e8"])
 def test_derive_agreement_bound_is_relative_above_one(q, capsys):
-    # |alpha0| = 3.75e7, where the two routes differ by one ulp (7.45e-9): an
-    # absolute 1e-9 bound refused it with exit 3
+    # |alpha0| = 3.75e7; a1 is exactly 0, so the two routes agree exactly (the
+    # file test below has a one-ulp discrepancy there)
     code, out, err = run(capsys, "derive", f"--q={q}")
     assert (code, err) == (0, "")
-    assert "discrepancy = " in out
+    assert "discrepancy = 0\n" in out
+
+
+def test_derive_agreement_bound_is_relative_for_a_coefficient_file(tmp_path, capsys):
+    # alpha0 = -8.35e7, where the two routes differ by one ulp (1.49e-8)
+    path = tmp_path / "big.txt"
+    path.write_text("kind = minus\ndegree = 2\na0 = 1.0\na1 = 0.273\n"
+                    "a2 = 80985000.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--coeffs", str(path))
+    assert (code, err) == (0, "")
+    assert "discrepancy = 1.49011612e-08\n" in out
 
 
 def test_fit_then_derive_chain(tmp_path, capsys):

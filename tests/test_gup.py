@@ -223,6 +223,53 @@ def test_half_order_route_equals_kspace_route(tail, order):
             assert abs(x - y) <= 1e-12 * bound
 
 
+# --------------------------------------------------------------------------
+# the rescaled ansatz against the composed one
+#
+# sum_j a_j H**j with H = y/2 is sum_j a_j 2**-j y**j.  The function below
+# builds it as the pipeline once did, composing the zero-padded polynomial
+# with 0.5 y (j successive halvings); the pipeline rescales each a_j once.
+# Where every a_j 2**-j is normal or zero, both are exact, so the Hamiltonians
+# must agree bit for bit, signs of zeros included (derive prints h_k4 = 0 for
+# tsallis q = 1, never -0).
+
+
+def composed_hamiltonian_series(coeffs, order):
+    half = order // 2
+    h_free = TruncatedSeries((0.0, 0.5) + (0.0,) * (half - 1))
+    padded = tuple(coeffs.a[: half + 1]) + (0.0,) * max(0, half + 1 - len(coeffs.a))
+    weight_sum = compose(TruncatedSeries(padded), h_free)
+    h_y = h_free - ln_one_plus(weight_sum - 1.0)
+    h_k = [0.0] * (order + 1)
+    h_k[::2] = h_y.coeffs
+    return TruncatedSeries(h_k)
+
+
+def hamiltonian_outcome(fn, coeffs, order):
+    """The coefficients as ``float.hex`` strings, or the message raised."""
+    try:
+        return [c.hex() for c in fn(coeffs, order).coeffs]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.lists(wide_coeff, min_size=0, max_size=6).map(lambda tail: AnsatzCoeffs((1.0, *tail))),
+    st.integers(2, MAX_ORDER // 2).map(lambda half: 2 * half),
+)
+@example(AnsatzCoeffs((1.0,)), 8)
+@example(tsallis_coeffs(1.0), 8)
+@example(tsallis_coeffs(1.0, order=MAX_ORDER // 2), MAX_ORDER)
+@example(AnsatzCoeffs((1.0, -0.0, -0.0, -1.0)), 8)
+@settings(max_examples=300, deadline=None)
+def test_rescaled_ansatz_equals_composed_ansatz(coeffs, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hamiltonian_outcome(effective_hamiltonian_series, coeffs, order)
+        expected = hamiltonian_outcome(composed_hamiltonian_series, coeffs, order)
+    assert got == expected
+
+
 def test_normalize_momentum():
     from entrogup.series import TruncatedSeries
 
@@ -287,8 +334,9 @@ def test_pipeline_refuses_a_closed_form_it_disagrees_with(wrong, monkeypatch):
 
 
 def test_pipeline_bound_is_relative_above_one():
-    # alpha0 = -3.75e7, where one ulp (7.45e-9) is already above 1e-9
-    report = deformation_pipeline(tsallis_coeffs(1e8))
+    # alpha0 = -8.35e7, where the two routes differ by one ulp (1.49e-8), which
+    # is already above 1e-9
+    report = deformation_pipeline(AnsatzCoeffs((1.0, 0.273, 80985000.0)))
     assert 1e-9 < report.discrepancy <= 1e-9 * abs(report.alpha0_closed)
 
 
@@ -309,12 +357,14 @@ def test_sign_pattern_of_references():
 
 
 def test_tsallis_coeffs_structure():
-    for q in (0.5, 0.9, 1.1, 1.5):
+    # -lam * (1/lam) + 1 does not round to 0 at q = 0.05, 0.13, 0.53, 0.91,
+    # 1.18, ..., so the exponent's x term must be set, not summed
+    for q in [i / 100 for i in range(1, 301)] + [1e8, -1e8]:
         coeffs = tsallis_coeffs(q, order=4)
         assert coeffs.kind == "tsallis"
         assert coeffs.q == q
         assert coeffs.a[0] == 1.0
-        assert coeffs.a[1] == pytest.approx(0.0, abs=1e-14)
+        assert coeffs.a[1] == 0.0
         assert coeffs.a[2] == pytest.approx(-(1.0 - q) / 2.0, rel=1e-12)
 
 

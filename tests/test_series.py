@@ -305,8 +305,7 @@ def test_compose_equals_reference(outer, inner):
 
 def reference_pipeline(monkeypatch, fn, *args, **kwargs):
     with monkeypatch.context() as patched:
-        for name, ref in (("compose", ref_compose), ("ln_one_plus", ref_ln_one_plus),
-                          ("exp_series", ref_exp_series)):
+        for name, ref in (("ln_one_plus", ref_ln_one_plus), ("exp_series", ref_exp_series)):
             patched.setattr(gup, name, ref)
         return fn(*args, **kwargs)
 
