@@ -12,12 +12,11 @@ with a positive constant term, polynomial composition, and the tangent /
 arctangent expansions behind the momentum relations.  Everything is plain
 double precision.
 
-``mul``, ``ln_one_plus``, ``exp_series`` and ``compose`` work on float64
-arrays: every intermediate product is one truncated ``np.convolve``, and the
-coefficients are converted and checked once, when the result is returned as a
-:class:`TruncatedSeries`.  A coefficient that overflows on the way stays
-non-finite through every later step (``inf * 0`` is NaN), so such a series is
-still refused as "series coefficients must be finite".
+Each result coefficient is one ``math.fsum``: of a Cauchy product, which
+skips zero coefficients of its second operand, or of the classical
+power-series recurrences (Knuth, TAOCP vol. 2, section 4.7), so every function
+is quadratic in the order.  A coefficient that overflows, or a sum that
+meets ``inf - inf``, is refused as "series coefficients must be finite".
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -44,8 +41,16 @@ __all__ = [
 DEFAULT_ORDER = 8
 
 # Largest truncation order the deformation pipeline accepts.  Its cost grows
-# about cubically with the order; 256 runs in milliseconds.
+# quadratically with the order; 256 runs in milliseconds.
 MAX_ORDER = 256
+
+
+def _check_order(order: int, lowest: int) -> int:
+    """``order`` as an int, refused below ``lowest``."""
+    order = operator.index(order)
+    if order < lowest:
+        raise ValueError(f"series order must be >= {lowest}, got {order}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -65,15 +70,12 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value: float, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         """The series ``value + 0*x + ... + 0*x^order``."""
-        return cls((float(value),) + (0.0,) * operator.index(order))
+        return cls((float(value),) + (0.0,) * _check_order(order, 0))
 
     @classmethod
     def variable(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         """The series ``x`` carried to the given truncation order."""
-        order = operator.index(order)
-        if order < 1:
-            raise ValueError("the variable series needs order >= 1")
-        return cls((0.0, 1.0) + (0.0,) * (order - 1))
+        return cls((0.0, 1.0) + (0.0,) * (_check_order(order, 1) - 1))
 
     @property
     def order(self) -> int:
@@ -81,7 +83,7 @@ class TruncatedSeries:
 
     def truncated(self, order: int) -> TruncatedSeries:
         """Drop coefficients above ``order`` (never extends a series)."""
-        order = operator.index(order)
+        order = _check_order(order, 0)
         if order > self.order:
             raise ValueError(
                 f"cannot extend a series of order {self.order} to order {order}"
@@ -119,49 +121,55 @@ class TruncatedSeries:
         return self.__mul__(other)
 
 
-def _cauchy(a, b, n: int) -> np.ndarray:
-    """Cauchy product of two coefficient sequences, truncated at order ``n``."""
-    return np.convolve(a, b)[: n + 1]
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, its overflow and ``inf - inf`` errors reported as non-finite."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise ValueError("series coefficients must be finite") from None
+
+
+def _nonzero(coeffs) -> list[tuple[int, float]]:
+    return [(j, c) for j, c in enumerate(coeffs) if c != 0.0]
+
+
+def _cauchy(a, b, n: int) -> list[float]:
+    """Cauchy product truncated at order ``n``, skipping zero coefficients of ``b``."""
+    terms = _nonzero(b[: n + 1])
+    return [_fsum([a[m - j] * c for j, c in terms if j <= m]) for m in range(n + 1)]
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to the smaller operand order."""
-    n = min(a.order, b.order)
-    return TruncatedSeries(_cauchy(a.coeffs, b.coeffs, n).tolist())
+    return TruncatedSeries(_cauchy(a.coeffs, b.coeffs, min(a.order, b.order)))
 
 
 def ln_one_plus(u: TruncatedSeries) -> TruncatedSeries:
-    """``ln(1 + u)`` for a series ``u`` with zero constant term."""
+    """``ln(1 + u)`` for a series ``u`` with zero constant term.
+
+    From ``(1 + u) w' = u'``: ``w_m = u_m - sum_{k<m} (k/m) w_k u_{m-k}``.
+    """
     if u.coeffs[0] != 0.0:
         raise ValueError("ln(1+u) requires a series with zero constant term")
-    n = u.order
-    base = np.array(u.coeffs)
-    acc = np.zeros(n + 1)
-    power = base
-    # An overflowing power or sum leaves inf or NaN (inf - inf) in acc, which
-    # the return refuses as non-finite; numpy need not warn about it as well.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            sign = 1.0 if m % 2 else -1.0
-            acc += power * (sign / m)
-            if m < n:
-                power = _cauchy(power, base, n)
-    return TruncatedSeries(acc.tolist())
+    terms = _nonzero(u.coeffs)
+    w = [0.0] * (u.order + 1)
+    for m in range(1, u.order + 1):
+        w[m] = u.coeffs[m] - _fsum([(m - j) / m * w[m - j] * c for j, c in terms if j < m])
+    return TruncatedSeries(w)
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
-    """``exp(u)`` for a series ``u`` with zero constant term."""
+    """``exp(u)`` for a series ``u`` with zero constant term.
+
+    From ``e' = u' e``: ``e_m = sum_{k<=m} k u_k e_{m-k} / m``.
+    """
     if u.coeffs[0] != 0.0:
         raise ValueError("exp(u) requires a series with zero constant term")
-    n = u.order
-    base = np.array(u.coeffs)
-    acc = np.zeros(n + 1)
-    acc[0] = 1.0
-    for m in range(n, 0, -1):
-        acc = _cauchy(acc, base, n)
-        acc *= 1.0 / m
-        acc[0] += 1.0
-    return TruncatedSeries(acc.tolist())
+    terms = _nonzero(u.coeffs)
+    e = [1.0] + [0.0] * u.order
+    for m in range(1, u.order + 1):
+        e[m] = _fsum([j * c * e[m - j] for j, c in terms if j <= m]) / m
+    return TruncatedSeries(e)
 
 
 def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -171,14 +179,9 @@ def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("sqrt needs a series with positive constant term")
     out = [math.sqrt(c0)]
     for m in range(1, a.order + 1):
-        try:
-            cross = math.fsum(out[j] * out[m - j] for j in range(1, m))
-        except (OverflowError, ValueError):
-            # fsum's own "intermediate overflow" and "-inf + inf" errors: the
-            # same non-finite coefficient every other series function refuses.
-            raise ValueError("series coefficients must be finite") from None
+        cross = _fsum([out[j] * out[m - j] for j in range(1, m)])
         out.append((a.coeffs[m] - cross) / (2.0 * out[0]))
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -186,19 +189,18 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
 
     Truncated to the smaller of the two operand orders; outer coefficients
     above that order cannot contribute below it (the inner series has no
-    constant term) and are ignored.
+    constant term) and are ignored.  A Horner term that overflows but feeds
+    only orders above the truncation drops out, as in the exact composition.
     """
     if inner.coeffs[0] != 0.0:
         raise ValueError("composition requires an inner series with zero constant term")
     n = min(outer.order, inner.order)
     oc = outer.coeffs[: n + 1]
-    inner_t = np.array(inner.coeffs[: n + 1])
-    acc = np.zeros(n + 1)
-    acc[0] = oc[-1]
+    acc = [oc[-1]] + [0.0] * n
     for c in reversed(oc[:-1]):
-        acc = _cauchy(acc, inner_t, n)
+        acc = _cauchy(acc, inner.coeffs, n)
         acc[0] += c
-    return TruncatedSeries(acc.tolist())
+    return TruncatedSeries(acc)
 
 
 def tan_series(order: int) -> TruncatedSeries:
@@ -207,21 +209,17 @@ def tan_series(order: int) -> TruncatedSeries:
     Coefficients follow from the defining equation ``tan' = 1 + tan**2``,
     which gives ``(m+1) c[m+1] = [x^m](1 + tan**2)``.
     """
-    order = operator.index(order)
-    if order < 1:
-        raise ValueError("tan series needs order >= 1")
+    order = _check_order(order, 1)
     c = [0.0] * (order + 1)
     c[1] = 1.0
     for m in range(1, order):
-        c[m + 1] = math.fsum(c[j] * c[m - j] for j in range(m + 1)) / (m + 1)
+        c[m + 1] = _fsum([c[j] * c[m - j] for j in range(m + 1)]) / (m + 1)
     return TruncatedSeries(tuple(c))
 
 
 def arctan_series(order: int) -> TruncatedSeries:
     """Maclaurin series of ``arctan`` to the given order."""
-    order = operator.index(order)
-    if order < 1:
-        raise ValueError("arctan series needs order >= 1")
+    order = _check_order(order, 1)
     c = [0.0] * (order + 1)
     for m in range(1, order + 1, 2):
         c[m] = (1.0 if (m // 2) % 2 == 0 else -1.0) / m

@@ -36,6 +36,7 @@ from entrogup.series import (
     ln_one_plus,
     sqrt_series,
 )
+from test_series import mp_ln_one_plus, rescaled_ansatz
 
 # published values the pipeline must land on (tolerance 1e-5)
 ALPHA0_PLUS_PUBLISHED = -0.560565
@@ -112,11 +113,11 @@ def _odd_bump():
 # slots and all, as the pipeline once did.  The y route must reach the same
 # outcome: the same alpha0 to the bit (it reads the y**1 and y**2 terms, whose
 # sums have one nonzero term each) and the same refusal.  Other coefficients
-# may differ by rounding, as np.convolve groups a shorter sum differently.  A
-# coefficient whose terms cancel can be far below its own rounding error: at
-# order 256 the y**100 term of tsallis q = 1.5 is -1.2e-62, both routes give
-# about -1e-58, and its terms' magnitudes sum to 4e-42.  So the bound is
-# relative to that sum, the coefficient's rounding scale.
+# may differ by rounding where an a_j 2**-j is subnormal, as one route rounds
+# it in j halvings.  The bound is relative to the sum of a coefficient's
+# terms' magnitudes, its rounding scale, which can lie far above the
+# coefficient itself: at order 256 the y**100 term of tsallis q = 1.5 is
+# -1.2e-62, and its terms' magnitudes sum to 4e-42.
 
 
 def kspace_hamiltonian_series(coeffs, order):
@@ -221,6 +222,19 @@ def test_half_order_route_equals_kspace_route(tail, order):
     for name, scale in zip(names, scales):
         for x, y, bound in zip(getattr(got, name).coeffs, getattr(expected, name).coeffs, scale):
             assert abs(x - y) <= 1e-12 * bound
+
+
+def test_high_order_hamiltonian_matches_mpmath():
+    # The k**200 coefficient is -1.2446e-62 while its terms' magnitudes sum to
+    # 4e-42; the Horner route of powers of u gave -1.19e-58 there.
+    coeffs = tsallis_coeffs(1.5, order=MAX_ORDER // 2)
+    got = effective_hamiltonian_series(coeffs, MAX_ORDER).coeffs
+    assert got[1::2] == (0.0,) * (MAX_ORDER // 2)
+    with mpmath.workdps(80):
+        exact = [-w for w in mp_ln_one_plus(rescaled_ansatz(coeffs, MAX_ORDER // 2))]
+        exact[1] += 0.5
+        for c, x in zip(got[::2], exact):
+            assert abs(mpmath.mpf(c) - x) <= 1e-12 * abs(x)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import math
 
-import numpy as np
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entrogup import gup
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, deformation_pipeline, tsallis_coeffs
@@ -56,6 +56,8 @@ def test_constant_and_variable():
     assert x.order == 3
     with pytest.raises(ValueError):
         TruncatedSeries.variable(0)
+    with pytest.raises(ValueError):
+        TruncatedSeries.constant(1.0, -3)
 
 
 def test_truncated_never_extends():
@@ -63,6 +65,9 @@ def test_truncated_never_extends():
     assert s.truncated(1).coeffs == (1.0, 2.0)
     with pytest.raises(ValueError):
         s.truncated(5)
+    # a negative order is refused, not read as a slice end
+    with pytest.raises(ValueError):
+        s.truncated(-2)
 
 
 def test_mul_truncates_to_smaller_order():
@@ -111,6 +116,13 @@ def test_compose_square():
     outer = TruncatedSeries((0.0, 0.0, 1.0, 0.0, 0.0))  # y^2
     inner = TruncatedSeries((0.0, 1.0, 1.0, 0.0, 0.0))  # x + x^2
     assert compose(outer, inner).coeffs == (0.0, 0.0, 1.0, 2.0, 1.0)
+
+
+def test_compose_drops_an_overflow_above_the_truncation():
+    # 1e300 (1e10 x**2)**3 is an x**6 term; on the way, 1e310 x**2 overflows
+    outer = TruncatedSeries((0.0, 0.0, 0.0, 1e300))
+    inner = TruncatedSeries((0.0, 0.0, 1e10, 0.0))
+    assert compose(outer, inner).coeffs == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_compose_requires_zero_inner_constant():
@@ -213,40 +225,55 @@ def test_values_match_math_functions():
 
 
 # --------------------------------------------------------------------------
-# array implementations against the object-per-step reference
+# the recurrences against an object-per-step reference
 #
-# The reference functions below build a TruncatedSeries after every step, as
-# the series core once did.  The array versions keep each operation in the
-# same order, so results must be equal bit for bit, not approximately.
+# ref_mul, ref_ln_one_plus and ref_exp_series build a TruncatedSeries after
+# every coefficient, so a non-finite one is refused where it appears.  The
+# reference functions keep the library's terms, their order within each fsum
+# and its zero skipping (a term whose second-operand coefficient is 0 is left
+# out), so results must be equal bit for bit, not approximately.
+
+
+def ref_fsum(terms):
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise ValueError("series coefficients must be finite") from None
+
+
+def ref_product_coeff(a, b, m):
+    """``[x^m]`` of the product of two coefficient sequences."""
+    return ref_fsum([a[m - j] * b[j] for j in range(m + 1) if b[j] != 0.0])
 
 
 def ref_mul(a, b):
-    n = min(a.order, b.order)
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncatedSeries(tuple(float(c) for c in full[: n + 1]))
+    out = ()
+    for m in range(min(a.order, b.order) + 1):
+        out = TruncatedSeries(out + (ref_product_coeff(a.coeffs, b.coeffs, m),)).coeffs
+    return TruncatedSeries(out)
 
 
 def ref_ln_one_plus(u):
     if u.coeffs[0] != 0.0:
         raise ValueError("ln(1+u) requires a series with zero constant term")
-    n = u.order
-    acc = np.zeros(n + 1)
-    power = u
-    for m in range(1, n + 1):
-        sign = 1.0 if m % 2 else -1.0
-        acc += np.asarray(power.coeffs) * (sign / m)
-        if m < n:
-            power = ref_mul(power, u)
-    return TruncatedSeries(tuple(float(c) for c in acc))
+    w = TruncatedSeries((0.0,))
+    for m in range(1, u.order + 1):
+        # k = m - j runs down from m - 1; (k/m) is rounded once
+        terms = [(m - j) / m * w.coeffs[m - j] * u.coeffs[j]
+                 for j in range(1, m) if u.coeffs[j] != 0.0]
+        w = TruncatedSeries(w.coeffs + (u.coeffs[m] - ref_fsum(terms),))
+    return w
 
 
 def ref_exp_series(u):
     if u.coeffs[0] != 0.0:
         raise ValueError("exp(u) requires a series with zero constant term")
-    acc = TruncatedSeries.constant(1.0, u.order)
-    for m in range(u.order, 0, -1):
-        acc = ref_mul(acc, u) * (1.0 / m) + 1.0
-    return acc
+    e = TruncatedSeries((1.0,))
+    for m in range(1, u.order + 1):
+        terms = [k * u.coeffs[k] * e.coeffs[m - k]
+                 for k in range(1, m + 1) if u.coeffs[k] != 0.0]
+        e = TruncatedSeries(e.coeffs + (ref_fsum(terms) / m,))
+    return e
 
 
 def ref_compose(outer, inner):
@@ -254,11 +281,13 @@ def ref_compose(outer, inner):
         raise ValueError("composition requires an inner series with zero constant term")
     n = min(outer.order, inner.order)
     oc = outer.coeffs[: n + 1]
-    inner_t = inner.truncated(n)
-    acc = TruncatedSeries.constant(oc[-1], n)
+    # The Horner accumulators are not results: one that overflows is carried
+    # as inf, and drops out where it lies above the truncation.
+    acc = [oc[-1]] + [0.0] * n
     for c in reversed(oc[:-1]):
-        acc = ref_mul(acc, inner_t) + c
-    return acc
+        acc = [ref_product_coeff(acc, inner.coeffs, m) for m in range(n + 1)]
+        acc[0] += c
+    return TruncatedSeries(acc)
 
 
 def outcome(fn, *args):
@@ -298,6 +327,9 @@ def test_exp_series_equals_reference(u):
 
 
 @given(series_of_order(1, 24), series_of_order(1, 24, zero_constant=True))
+# 4.5e29 (7.2e27 x**2)**10 overflows at x**20 on the way to a x**40 term
+@example(TruncatedSeries((0.0,) * 20 + (4.4841532885046256e29,)),
+         TruncatedSeries((0.0, 0.0, 7.24942416204796e27) + (0.0,) * 18))
 @settings(max_examples=300)
 def test_compose_equals_reference(outer, inner):
     assert outcome(compose, outer, inner) == outcome(ref_compose, outer, inner)
@@ -322,6 +354,74 @@ def test_tsallis_coeffs_equal_reference(order, monkeypatch):
     for q in (-2.0, 0.3, 0.5, 0.9, 0.999, 1.1, 1.5, 3.0):
         expected = reference_pipeline(monkeypatch, tsallis_coeffs, q, order=order)
         assert tsallis_coeffs(q, order=order) == expected
+
+
+# --------------------------------------------------------------------------
+# accuracy against the same recurrences in 80-digit mpmath, on the same doubles
+#
+# A coefficient whose terms cancel loses at most some 20 of the 80 digits
+# here, so these are the exact coefficients of the double inputs.  Errors are
+# counted in each coefficient's own ulp.
+
+
+def mp_ln_one_plus(u):
+    """Coefficients of ``ln(1 + u)`` as mpf values, for a list of doubles."""
+    u = [mpmath.mpf(c) for c in u]
+    w = [mpmath.mpf(0)] * len(u)
+    with mpmath.workdps(80):
+        for m in range(1, len(u)):
+            w[m] = u[m] - mpmath.fsum(mpmath.mpf(k) / m * w[k] * u[m - k] for k in range(1, m))
+    return w
+
+
+def mp_exp_series(u):
+    """Coefficients of ``exp(u)`` as mpf values, for a list of doubles."""
+    u = [mpmath.mpf(c) for c in u]
+    e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(u) - 1)
+    with mpmath.workdps(80):
+        for m in range(1, len(u)):
+            e[m] = mpmath.fsum(k * u[k] * e[m - k] for k in range(1, m + 1)) / m
+    return e
+
+
+def worst_ulps(got, exact):
+    return max(float(abs(mpmath.mpf(g) - x)) / math.ulp(float(x)) for g, x in zip(got, exact))
+
+
+def rescaled_ansatz(coeffs, half):
+    """The pipeline's ``ln`` input: ``a_j 2**-j`` for ``j = 1..half``."""
+    tail = [math.ldexp(a, -j) for j, a in enumerate(coeffs.a[1 : half + 1], 1)]
+    return (0.0, *tail) + (0.0,) * (half - len(tail))
+
+
+# The Horner route of powers of u measured 1.1 / 166 / 8.3e5 ulp (minus) and
+# 0.3 / 37 / 1.2e7 ulp (plus) here.
+@pytest.mark.parametrize(
+    "coeffs, half, bound",
+    [
+        (REFERENCE_MINUS, 4, 1),
+        (REFERENCE_MINUS, 32, 128),
+        (REFERENCE_MINUS, 128, 512),
+        (REFERENCE_PLUS, 4, 1),
+        (REFERENCE_PLUS, 32, 8),
+        (REFERENCE_PLUS, 128, 32),
+    ],
+    ids=["minus-4", "minus-32", "minus-128", "plus-4", "plus-32", "plus-128"],
+)
+def test_ln_one_plus_within_ulps_of_mpmath(coeffs, half, bound):
+    u = rescaled_ansatz(coeffs, half)
+    assert worst_ulps(ln_one_plus(TruncatedSeries(u)).coeffs, mp_ln_one_plus(u)) <= bound
+
+
+# tsallis_coeffs' input to exp: ln(1 - lam x)/lam + x.  The Horner route
+# measured up to 323 ulp at order 32 and 6.7e3 at order 128.
+@pytest.mark.parametrize("q", [0.05, 0.3, 1.5, 3.0])
+@pytest.mark.parametrize("order, bound", [(4, 1), (32, 256), (128, 1024)])
+def test_exp_series_within_ulps_of_mpmath(q, order, bound):
+    lam = 1.0 - q
+    log_part = ln_one_plus(TruncatedSeries((0.0, -lam) + (0.0,) * (order - 1))) * (1.0 / lam)
+    u = (0.0, 0.0) + log_part.coeffs[2:]
+    assert worst_ulps(exp_series(TruncatedSeries(u)).coeffs, mp_exp_series(u)) <= bound
 
 
 @pytest.mark.parametrize(

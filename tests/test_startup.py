@@ -153,6 +153,13 @@ def test_package_namespace_loads_on_first_use(tmp_path):
     assert len(out["all"]) == len(EXPORTS) and set(out["all"]) == EXPORTS
 
 
+def test_series_loads_no_numpy(tmp_path):
+    # the series core is pure Python: one math.fsum per coefficient
+    code = ("import sys, entrogup.series; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    assert python(["-c", code], tmp_path).stdout == "[]\n"
+
+
 def test_submodules_resolve_as_attributes(tmp_path):
     out = python(["-c", "import entrogup; print(entrogup.maxent.__name__)"], tmp_path)
     assert out.stdout == "entrogup.maxent\n"
