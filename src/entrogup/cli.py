@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NumericalError
 
 __all__ = ["main", "main_entry"]
@@ -123,20 +121,34 @@ _RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
 # argument helpers
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse ``start:stop:count`` (inclusive linspace) or a single number."""
+def _parse_grid(text: str) -> list[float]:
+    """Parse ``start:stop:count`` (inclusive linspace) or a single number.
+
+    The points are ``np.linspace(start, stop, count)``'s bits, computed without
+    numpy (which ``derive`` and ``gup`` never load): ``i*step + start`` with
+    ``step = (stop - start)/(count - 1)``, or ``(i/(count - 1))*(stop - start)
+    + start`` where ``step`` rounds to 0, ``0*(stop - start) + start`` for one
+    point, and the last point set to ``stop``.  A non-finite endpoint or span
+    makes some point inf or nan, and the grid is refused.
+    """
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            values = np.array([float(parts[0])])
+            values = [float(parts[0])]
         elif len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if not 1 <= count <= _MAX_GRID_COUNT:
                 raise ValueError
-            # An infinite endpoint or span fills the grid with inf and nan,
-            # which is refused below without numpy's warning.
-            with np.errstate(all="ignore"):
-                values = np.linspace(start, stop, count)
+            delta, div = stop - start, count - 1
+            if not div:
+                values = [0 * delta + start]
+            else:
+                step = delta / div
+                if step == 0.0:
+                    values = [i / div * delta + start for i in range(div)]
+                else:
+                    values = [i * step + start for i in range(div)]
+                values.append(stop)
         else:
             raise ValueError
     except ValueError:
@@ -144,7 +156,7 @@ def _parse_grid(text: str) -> np.ndarray:
             f"grid must be 'start:stop:count' with count in [1, {_MAX_GRID_COUNT}], "
             f"or a single number, got {text!r}"
         ) from None
-    if not np.all(np.isfinite(values)):
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"grid endpoints must be finite, got {text!r}")
     return values
 
@@ -186,7 +198,6 @@ def _cmd_boltzmann(args: argparse.Namespace) -> Report:
     for p in p_values:
         params = GammaBetaParams(p=p, beta0=1.0)
         for energy in energies:
-            energy = float(energy)
             closed = boltzmann_closed(params, energy)
             quad = boltzmann_quadrature(params, energy, tol=args.tol)
             series = boltzmann_series(params, energy, order=args.order)
@@ -247,6 +258,8 @@ def _cmd_entropy(args: argparse.Namespace) -> Report:
 
 
 def _cmd_maxent(args: argparse.Namespace) -> Report:
+    import numpy as np
+
     from .maxent import _roots, maxent_distribution
 
     if args.energies is not None:
@@ -316,8 +329,8 @@ def _add_regime(report: Report, regime) -> None:
 
 
 def _cmd_derive(args: argparse.Namespace) -> Report:
+    from .ansatz import REFERENCE_MINUS, REFERENCE_PLUS, load_coeffs
     from .gup import GupParams, deformation_pipeline, regime_summary, tsallis_coeffs
-    from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, load_coeffs
     from .series import MAX_ORDER
 
     if args.coeffs is not None:
@@ -329,7 +342,16 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
             # Refused here, by the order given: tsallis_coeffs sees only half of it.
             raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {args.order}")
         # Terms a_j H**j with 2j > order fall outside the truncation anyway.
-        coeffs = tsallis_coeffs(q, order=max(2, args.order // 2))
+        try:
+            coeffs = tsallis_coeffs(q, order=max(2, args.order // 2))
+        except ValueError:
+            if not math.isfinite(q):
+                raise
+            # The only other refusal: a_j grows like |1-q|**j and overflows.
+            raise ValueError(
+                f"the q-exponential's series coefficients overflow for q = {q!r} "
+                f"at --order {args.order}"
+            ) from None
         source = "tsallis"
     elif args.kind == "plus":
         coeffs, source = REFERENCE_PLUS, "builtin:plus"
@@ -378,7 +400,6 @@ def _cmd_gup(args: argparse.Namespace) -> Report:
 
     rows = []
     for k in ks:
-        k = float(k)
         if k <= 0.0:
             raise ValueError(f"wavenumbers must be positive, got {k!r}")
         p = p_of_k(params, k)

@@ -20,9 +20,9 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
-from .errors import NumericalError
 # REFERENCE_* are imported only so that gup.REFERENCE_* resolves.
-from .maxent import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
+from .ansatz import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
+from .errors import NumericalError
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,

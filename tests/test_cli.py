@@ -8,8 +8,9 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from entrogup import gup, superstats
 from entrogup.cli import _COMMANDS, _FLAGS, _parse_floats, _parse_grid, main
@@ -180,6 +181,16 @@ def test_derive_agreement_bound_is_relative_above_one(q, capsys):
     code, out, err = run(capsys, "derive", f"--q={q}")
     assert (code, err) == (0, "")
     assert "discrepancy = 0\n" in out
+
+
+@pytest.mark.parametrize("q", ["1e8", "-1e8"])
+def test_derive_q_overflow_names_q_and_order(q, capsys):
+    # a_j grows like |1-q|**j: order 64 runs, and at 256 tsallis_coeffs (built
+    # to half the order) overflows; the refusal names the order given
+    code, out, err = run(capsys, "derive", f"--q={q}", "--order", "256")
+    assert (code, out) == (2, "")
+    assert err == ("error: the q-exponential's series coefficients overflow for "
+                   f"q = {float(q)!r} at --order 256\n")
 
 
 def test_derive_agreement_bound_is_relative_for_a_coefficient_file(tmp_path, capsys):
@@ -482,7 +493,38 @@ def test_grid_count_above_bound_exits_2_quietly(argv, capsys, tmp_path, monkeypa
 
 
 def test_grid_count_at_bound_parses():
-    assert _parse_grid("0:1:1048576").size == 1 << 20
+    assert len(_parse_grid("0:1:1048576")) == 1 << 20
+
+
+_TINY = 5e-324
+_HUGE = 1.7976931348623157e308
+# any double (subnormal, huge, signed zero, inf, nan), the extremes, and
+# subnormal multiples, whose spans over many points have a step that rounds to 0
+_ENDPOINTS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, _TINY, -_TINY, _HUGE, -_HUGE]),
+    st.integers(-64, 64).map(lambda n: n * _TINY),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(start=_ENDPOINTS, stop=_ENDPOINTS,
+       count=st.one_of(st.sampled_from([1, 2]), st.integers(1, 4000)))
+@example(start=0.0, stop=3 * _TINY, count=1000)  # step rounds to 0
+@example(start=-0.0, stop=-0.0, count=3)
+@example(start=-0.0, stop=0.0, count=1)
+@example(start=-_HUGE, stop=_HUGE, count=1)  # one point, but the span overflows
+@example(start=_HUGE, stop=-_HUGE, count=2)
+def test_grid_has_linspace_bits(start, stop, count):
+    text = f"{start!r}:{stop!r}:{count}"
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, count)
+    if np.isfinite(expected).all():
+        assert [v.hex() for v in _parse_grid(text)] == [v.hex() for v in expected.tolist()]
+    else:
+        with pytest.raises(ValueError) as info:
+            _parse_grid(text)
+        assert str(info.value) == f"grid endpoints must be finite, got {text!r}"
 
 
 @pytest.mark.parametrize(

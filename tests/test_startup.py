@@ -1,6 +1,8 @@
 """Start-up cost: each command loads only the submodules it runs, and none
 loads scipy, the quadrature included."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import entrogup
 from entrogup import superstats
+from entrogup.cli import main
 from entrogup.superstats import GammaBetaParams, boltzmann_quadrature
 from test_package import EXPORTS
 
@@ -116,8 +119,9 @@ def test_no_command_loads_numpy_ma(tmp_path):
 
 COMMAND_MODULES = {"entrogup", "entrogup.cli", "entrogup.errors"}
 ENTROPY_MODULES = COMMAND_MODULES | {"entrogup.entropy"}
-MAXENT_MODULES = ENTROPY_MODULES | {"entrogup.maxent"}
-GUP_MODULES = MAXENT_MODULES | {"entrogup.series", "entrogup.gup"}
+MAXENT_MODULES = ENTROPY_MODULES | {"entrogup.ansatz", "entrogup.maxent"}
+# no maxent or entropy: derive and gup need only the numpy-free ansatz module
+GUP_MODULES = COMMAND_MODULES | {"entrogup.ansatz", "entrogup.series", "entrogup.gup"}
 
 
 @pytest.mark.parametrize(
@@ -133,14 +137,37 @@ GUP_MODULES = MAXENT_MODULES | {"entrogup.series", "entrogup.gup"}
     ids=["boltzmann", "entropy", "maxent", "fit", "derive", "gup"],
 )
 def test_command_loads_only_its_modules(argv, modules, tmp_path):
-    # run as a cold CLI call runs; -X importtime lists every module imported
-    proc = python(["-X", "importtime", "-m", "entrogup", *argv], tmp_path)
-    loaded = {
+    loaded = cold_call_modules(argv, tmp_path)
+    assert {name for name in loaded if name.split(".")[0] == "entrogup"} == modules
+
+
+def cold_call_modules(argv, cwd):
+    """Every module that a cold CLI call imports, as -X importtime lists them."""
+    proc = python(["-X", "importtime", "-m", "entrogup", *argv], cwd)
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert {name for name in loaded if name.split(".")[0] == "entrogup"} == modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive",),
+        ("derive", "--coeffs", "c.txt"),
+        ("derive", "--q", "1.5"),
+        ("gup", "--alpha0", "0.36"),
+    ],
+    ids=["derive", "derive-coeffs", "derive-q", "gup"],
+)
+def test_derive_and_gup_load_no_numpy(argv, tmp_path):
+    # derive reads the file that fit writes, with the same ansatz module
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["fit", "--coeffs", str(tmp_path / "c.txt")]) == 0
+    loaded = cold_call_modules(argv, tmp_path)
+    assert "entrogup.gup" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
 
 
 def test_package_namespace_loads_on_first_use(tmp_path):
