@@ -98,45 +98,90 @@ def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
 
 
 # The start tables: the ratio r_s(x) = u_s(x) / x of the root u = -ln p to the
-# Gibbs guess u = x, on the nodes k * _STEP of [0, _TABLE_END].  x - u =
-# ln(p e**x) is smooth and bounded (below 0.68 for plus and 0.45 in magnitude
-# for minus) and falls below an ulp of x near x = 40, so r is 1 there to
-# within rounding.  A ratio keeps the start's relative error small as x -> 0,
-# where the minus root approaches the boundary root u = 0.  _STEP is a power
-# of two, so x / _STEP is exact.
+# Gibbs guess u = x, and its slope, on the nodes k * _STEP of [0, _TABLE_END],
+# stored as the coefficients of the cubic Hermite interpolant on each interval
+# between them.  x - u = ln(p e**x) is smooth and bounded (below 0.68 for plus
+# and 0.45 in magnitude for minus) and falls below an ulp of x near x = 40, so
+# r is 1 there to within rounding, with slope 0.  A ratio keeps the start's
+# relative error small as x -> 0, where the minus root approaches the
+# boundary root u = 0.  _STEP is a power of two, so x / _STEP is exact.
 _STEP = 1.0 / 256.0
 _TABLE_END = 40.0
 _NODES = round(_TABLE_END / _STEP)
-_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# r_s(0) = 1 - a1 and r_s'(0) = a1**2 / 2 - a2 from the small-x series
+# p e**x = 1 + a1 x + a2 x**2 + ...: plus (a1, a2) = (0, 3/4), minus
+# (-1/3, -95/162).  At x = 0, _table's ratio u / x is 0/0, and for minus
+# its u' = -g_x / g_u too (g_u(0, 0) = 0).
+_ORIGIN = {1: (1.0, -0.75), -1: (4.0 / 3.0, 52.0 / 81.0)}
+_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermite coefficients ``(c0, c1, c2, c3)`` of kind ``s``'s start
+    table: ``r_s = c0 + c1 t + c2 t**2 + c3 t**3`` at ``x = (k + t) * _STEP``,
+    ``0 <= t < 1``, and the constant 1 on row ``_NODES``, at the table end.
+
+    The ratios come from the solver's own loop, started from the cold guess
+    ``u = x``.  Their slopes ``r' = (u' - r) / x`` follow from the implicit
+    function theorem, ``u' = -g_x / g_u`` with ``g_x = 1 + s (p - p u)``; the
+    node at 0 takes the exact limits of ``_ORIGIN``.  A table with a
+    non-finite entry is refused.
+    """
+    nodes = np.arange(_NODES + 1) * _STEP
+    u = _newton(nodes, s, nodes.copy())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, dg = _g(u, nodes, s)
+        p = np.exp(-u)
+        du = -(1.0 + s * (p - p * u)) / dg
+        ratio = u / nodes
+        slope = (du - ratio) / nodes
+    ratio[0], slope[0] = _ORIGIN[s]
+    ratio[-1], slope[-1] = 1.0, 0.0
+    bad = ~(np.isfinite(ratio) & np.isfinite(slope))
+    if bad.any():
+        raise NumericalError(
+            f"the start table has a non-finite entry at x = {float(nodes[bad][0]):g}"
+        )
+    # h r' at each interval's left node (c1) and right node (c1_next), and the
+    # rise dr of r across it; all three are 0 on the row at the table end
+    c1 = slope * _STEP
+    c1_next = np.append(c1[1:], 0.0)
+    dr = np.diff(ratio, append=1.0)
+    c2 = 3.0 * dr
+    c2 -= 2.0 * c1
+    c2 -= c1_next
+    c3 = -2.0 * dr
+    c3 += c1
+    c3 += c1_next
+    return ratio, c1, c2, c3
 
 
 def _start(x: np.ndarray, s: int) -> np.ndarray:
-    """Starting iterate ``u = x r_s(x)`` for :func:`_newton`, with ``r_s`` linear
-    in the kind's start table between nodes and ``x`` clamped to the table end,
-    where ``r_s`` is 1: past the table end the start is the Gibbs guess ``x``.
+    """Starting iterate ``u = x r_s(x)`` for :func:`_newton`, with ``r_s`` the
+    cubic Hermite interpolant of the kind's start table and ``x`` clamped to
+    the table end, where ``r_s`` is 1: past the table end the start is the
+    Gibbs guess ``x``.
 
-    The table is built on the first call of each kind by the solver's own
-    loop from the cold start ``u = x``, and cached; a build that raises leaves
-    nothing cached.  Its node at 0 is extrapolated from the next two, and its
-    last node holds the Gibbs ratio 1, which the root has to within rounding.
+    The table (see :func:`_table`) is built on the first call of each kind
+    and cached; a build that raises leaves nothing cached.
     """
     table = _tables.get(s)
     if table is None:
-        nodes = np.arange(_NODES + 1) * _STEP
-        ratio = _newton(nodes, s, nodes.copy())
-        ratio[1:] /= nodes[1:]
-        ratio[0] = 2.0 * ratio[1] - ratio[2]
-        ratio[-1] = 1.0
-        table = _tables[s] = (ratio[:-1], np.diff(ratio))
-    r0, slope = table
+        table = _tables[s] = _table(s)
+    c0, c1, c2, c3 = table
     t = np.minimum(x, _TABLE_END)
     t *= 1.0 / _STEP
-    k = np.minimum(t.astype(np.intp), _NODES - 1)
+    k = t.astype(np.intp)
     t -= k
-    t *= slope[k]
-    t += r0[k]
-    t *= x
-    return t
+    u = c3[k]
+    u *= t
+    u += c2[k]
+    u *= t
+    u += c1[k]
+    u *= t
+    u += c0[k]
+    u *= x
+    return u
 
 
 def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
@@ -186,8 +231,8 @@ def _roots(x, s: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     sign from positive to negative.  The minus lower end excludes the root
     ``p = 1`` that the minus equation has at every ``x``.  Each point starts
     from its kind's cached table of ``u / x`` (see :func:`_start`), within
-    4e-5 of the root in relative terms at every ``x``, so Newton stops in
-    three rounds; past the table end the start is the Gibbs guess ``u = x``.
+    1e-10 of the root in relative terms at every ``x``, so Newton stops in
+    two rounds; past the table end the start is the Gibbs guess ``u = x``.
     The start is clipped into the bracket.  Iteration stops when the step or
     the bracket is below a few ulps of ``max(u, 1)``, not on the residual:
     near ``p = 1`` a whole range of ``p`` has a residual below any useful
@@ -277,7 +322,8 @@ def fit_gen_exp(
     -------
     GenExpFit
         Fitted coefficients, RMS deviation from the solver probabilities on
-        the grid, and a ``start:stop:count`` descriptor of the grid.
+        the grid, and a ``min:max:count`` descriptor of the grid, whose ends
+        read back as the same doubles.
     """
     if kind not in ("plus", "minus"):
         raise ValueError(f"fit kind must be 'plus' or 'minus', got {kind!r}")
@@ -297,7 +343,8 @@ def fit_gen_exp(
         raise ValueError("grid points must be finite and non-negative")
     # counted without np.unique, which imports numpy.ma (most of a cold fit's
     # start-up); -0.0 and 0.0 are one point, as np.unique counts them
-    if np.count_nonzero(np.diff(np.sort(xs))) + 1 < degree + 1:
+    ordered = np.sort(xs)
+    if np.count_nonzero(np.diff(ordered)) + 1 < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
 
     probs, _ = _roots(xs, _SIGN[kind], tol)
@@ -316,8 +363,16 @@ def fit_gen_exp(
     coeffs = AnsatzCoeffs((1.0, *(float(v) for v in solution)), kind=kind)
     model = weight + design @ solution
     rms = float(np.sqrt(np.mean((model - probs) ** 2)))
-    descriptor = f"{xs[0]:g}:{xs[-1]:g}:{xs.size}"
+    descriptor = f"{_grid_number(ordered[0])}:{_grid_number(ordered[-1])}:{xs.size}"
     return GenExpFit(coeffs, rms, descriptor)
+
+
+def _grid_number(value: float) -> str:
+    """``value`` in ``:g`` form where that reads back as ``value``, else its
+    repr; ``-0.0`` prints as ``0``."""
+    value = float(value) + 0.0
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def maxent_distribution(

@@ -136,6 +136,15 @@ def test_fit_writes_file_and_reports(tmp_path, capsys):
     assert str(out_file) in err  # diagnostics, not data, go to stderr
 
 
+def test_fit_file_records_the_grid_it_ran(tmp_path, capsys):
+    out_file = tmp_path / "c.txt"
+    code, out, _ = run(capsys, "fit", "--grid", "1e-3:0.123456789:31",
+                       "--coeffs", str(out_file))
+    assert code == 0
+    assert "grid = 0.001:0.123456789:31\n" in out_file.read_text()
+    assert "0.001:0.123456789:31" in out
+
+
 def test_fit_default_filename(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, "fit", "--kind", "plus")
