@@ -30,6 +30,10 @@ S_PLUS_UNIFORM4 = 1.1715728752538097  # 4 (1 - 4^(-1/4))
 S_PLUS_PARTIAL3_OMEGA4 = 1.1738199084932006
 
 
+# the most states that take the float route; one more takes the array route
+N = entropy._FLOAT_ROUTE_MAX
+
+
 def uniform(omega):
     return ProbVector.uniform(omega)
 
@@ -70,7 +74,7 @@ def gibbs_like(n):
     return tuple(w / total for w in weights)
 
 
-@pytest.mark.parametrize("n", [1, 2, 500, 5000])
+@pytest.mark.parametrize("n", [1, 2, 500, 5000, N, N + 1])
 def test_entropies_match_per_level_formulas(n):
     # numpy's log/pow differ from math's by at most 1 ulp on some elements.
     # In 1 - p**p and p**(-p) - 1 that is 1 ulp of a number near 1, so an
@@ -84,15 +88,23 @@ def test_entropies_match_per_level_formulas(n):
     for q in (0.5, 2.0, 3.7):
         assert tsallis(dist, q) == close(tsallis_loop(probs, q))
         assert renyi(dist, q) == close(renyi_loop(probs, q))
+    if n <= N:
+        # the float route evaluates the per-level formulas themselves
+        assert shannon(dist) == shannon_loop(probs)
+        assert s_plus(dist) == s_plus_loop(probs)
+        assert s_minus(dist) == s_minus_loop(probs)
+        assert tsallis(dist, 3.7) == tsallis_loop(probs, 3.7)
 
 
 @pytest.mark.parametrize("container", [tuple, list, np.array])
 def test_probvector_input_containers(container):
-    probs = gibbs_like(500)
-    pv = ProbVector(container(probs))
-    assert pv == ProbVector(probs)
-    assert type(pv.probs) is tuple and all(type(p) is float for p in pv.probs)
-    assert pv.probs == probs
+    for n in (N, N + 1, 500):
+        probs = gibbs_like(n)
+        pv = ProbVector(container(probs))
+        assert pv == ProbVector(probs)
+        assert type(pv.probs) is tuple and all(type(p) is float for p in pv.probs)
+        assert pv.probs == probs
+        assert (pv._array is None) == (n <= N)
 
 
 def test_probvector_keeps_its_own_copy():
@@ -103,25 +115,44 @@ def test_probvector_keeps_its_own_copy():
     assert s_plus(pv) == s_plus(ProbVector((0.25, 0.75)))
 
 
+REFUSALS = [
+    ((0.5, float("nan"), 0.5), r"must lie in \(0, 1\], got nan"),
+    ((0.5, 0.0, 0.5), r"must lie in \(0, 1\], got 0\.0"),
+    ((0.25, 1.5, -0.75), r"must lie in \(0, 1\], got 1\.5"),  # the first one named
+    ((0.5, float("inf")), r"must lie in \(0, 1\], got inf"),
+    ((0.5, 0.5 + 2e-12), r"sum to 1\.000000000002.*, not 1"),
+    ((), "at least one state"),
+]
+
+
+def split_last(probs, n):
+    """``probs`` with its last entry split into equal parts, ``n`` entries in all."""
+    parts = n - len(probs) + 1
+    return probs[:-1] + (probs[-1] / parts,) * parts
+
+
+# each refusal on both routes too: N states (float route) and N + 1 (array route)
 @pytest.mark.parametrize("container", [tuple, list, np.array])
 @pytest.mark.parametrize(
     "probs, message",
-    [
-        ((0.5, float("nan"), 0.5), r"must lie in \(0, 1\], got nan"),
-        ((0.5, 0.0, 0.5), r"must lie in \(0, 1\], got 0\.0"),
-        ((0.25, 1.5, -0.75), r"must lie in \(0, 1\], got 1\.5"),  # the first one named
-        ((0.5, float("inf")), r"must lie in \(0, 1\], got inf"),
-        ((0.5, 0.5 + 2e-12), r"sum to 1\.000000000002.*, not 1"),
-        ((), "at least one state"),
-    ],
+    REFUSALS + [(split_last(p, n), m) for p, m in REFUSALS if p for n in (N, N + 1)],
 )
 def test_probvector_refusals(container, probs, message):
     with pytest.raises(ValueError, match=message):
         ProbVector(container(probs))
 
 
+def test_probvector_names_the_exact_sum():
+    # ten 0.1s add up to 0.9999999999999999 left to right, exactly to 1 + 5.6e-17
+    probs = (0.1,) * 9 + (0.1 + 3e-12,)
+    for states in (probs, split_last(probs, N + 1)):
+        with pytest.raises(ValueError, match=r"sum to 1\.000000000003, not 1$"):
+            ProbVector(states)
+
+
 def test_probvector_refuses_non_1d_input():
-    for probs in (((0.5, 0.5),), np.array([[0.5], [0.5]]), np.float64(1.0)):
+    for probs in (((0.5, 0.5),), np.array([[0.5], [0.5]]), np.float64(1.0),
+                  [np.array([0.5]), np.array([0.5])], np.full((N, 1), 1.0 / N)):
         with pytest.raises(ValueError, match="1-D"):
             ProbVector(probs)
 
@@ -129,6 +160,8 @@ def test_probvector_refuses_non_1d_input():
 def test_probvector_validation():
     with pytest.raises(ValueError):
         ProbVector(())
+    with pytest.raises(ValueError, match="at least one state"):
+        ProbVector(range(0))  # numpy converts it: the array route
     with pytest.raises(ValueError):
         ProbVector((0.5, 0.6))
     with pytest.raises(ValueError):
@@ -261,6 +294,12 @@ def test_equiprob_expansion_values():
         s_plus_equiprob_expansion(4, 4)
     with pytest.raises(ValueError):
         s_plus_equiprob_expansion(1, 2)
+    assert s_minus_equiprob_expansion(np.int64(4), 2) == s_minus_equiprob_expansion(4, 2)
+    # the integer check of ProbVector.uniform, before the omega >= 2 test
+    for expansion in (s_plus_equiprob_expansion, s_minus_equiprob_expansion):
+        for bad in (math.nan, math.inf, 4.5, 4.0, True, "4", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                expansion(bad, 1)
 
 
 def test_expansion_error_shrinks_and_alternates():

@@ -14,6 +14,7 @@ import pytest
 import entrogup
 from entrogup import superstats
 from entrogup.cli import main
+from entrogup.entropy import _FLOAT_ROUTE_MAX
 from entrogup.superstats import GammaBetaParams, boltzmann_quadrature
 from test_package import EXPORTS
 
@@ -168,6 +169,23 @@ def test_derive_and_gup_load_no_numpy(argv, tmp_path):
     loaded = cold_call_modules(argv, tmp_path)
     assert "entrogup.gup" in loaded
     assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        (("entropy",), False),
+        (("entropy", "--probs", "0.2,0.3,0.5"), False),
+        (("entropy", "--omega", str(_FLOAT_ROUTE_MAX)), False),
+        (("entropy", "--omega", str(_FLOAT_ROUTE_MAX + 1)), True),
+    ],
+    ids=["entropy", "entropy-probs", "entropy-omega-N", "entropy-omega-N+1"],
+)
+def test_entropy_loads_numpy_only_above_the_float_route(argv, numpy, tmp_path):
+    # up to _FLOAT_ROUTE_MAX states the entropies are Python floats and math.fsum
+    loaded = cold_call_modules(argv, tmp_path)
+    assert "entrogup.entropy" in loaded
+    assert any(name.split(".")[0] == "numpy" for name in loaded) is numpy
 
 
 def test_package_namespace_loads_on_first_use(tmp_path):
