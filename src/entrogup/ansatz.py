@@ -108,8 +108,8 @@ def save_coeffs(fit: GenExpFit, path: str | Path) -> None:
 def load_coeffs(path: str | Path) -> GenExpFit:
     """Read a coefficient file written by :func:`save_coeffs`.
 
-    Unknown keys, malformed lines, and coefficient indices outside the declared
-    degree are all rejected.
+    Unknown or repeated keys, malformed lines, and coefficient indices outside
+    the declared degree are all rejected.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -119,7 +119,10 @@ def load_coeffs(path: str | Path) -> GenExpFit:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}: line {lineno} is not a 'key = value' pair: {raw!r}")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"{path}: line {lineno} repeats the key {key!r}")
+        entries[key] = value.strip()
 
     def _pop(key: str) -> str:
         if key not in entries:

@@ -5,7 +5,7 @@ Every sum over states, here and in ``maxent.maxent_distribution``, is
 takes one of two routes, chosen by its number of states:
 
 - up to ``_FLOAT_ROUTE_MAX`` states, :class:`ProbVector` validates Python
-  floats and the entropies sum their terms with ``math.log`` and
+  floats and the entropies sum their terms with ``math`` functions and
   ``math.fsum``, so that the ``entropy`` command runs without numpy;
 - above it, the entries are one float64 array, each entropy's terms are one
   numpy expression, and :func:`_fsum` sums them without building one Python
@@ -14,12 +14,13 @@ takes one of two routes, chosen by its number of states:
 Each entropy writes its per-state term once; :func:`_sum_terms` evaluates it
 on either route.  ``ProbVector`` plus the five entropies, with numpy already
 loaded (best of 7, 2-core shared Xeon host, Python 3.11, numpy 2.4), took
-9 vs 84 us (float vs array route) at 4 states, 56 vs 95 us at 64, 81 vs 97 us
-at 96, 107 vs 100 us at 128 and 200 vs 113 us at 256.  The routes cross near
-110 states; the float route runs up to 128, where it costs 7 us more in a
-process that has numpy, and a cold ``entropy`` call skips the numpy import.
-numpy's SIMD ``log`` and ``pow`` differ from libm's by at most an ulp on some
-arguments, so a sum may differ in its last bits between the routes.
+11 vs 92 us (float vs array route) at 4 states, 75 vs 97 us at 64, 113 vs
+100 us at 96, 143 vs 111 us at 128 and 272 vs 119 us at 256.  The routes
+cross near 80 states; the float route runs up to 128, where it costs ~30 us
+more in a process that has numpy, and a cold ``entropy`` call skips the
+numpy import.  numpy's SIMD ``log``, ``expm1`` and ``pow`` differ from libm's
+by at most an ulp on some arguments, so a sum may differ in its last bits
+between the routes.
 """
 
 from __future__ import annotations
@@ -113,15 +114,15 @@ def _small_floats(probs) -> list[float] | None:
     return list(map(float, probs))
 
 
-def _state_count(omega: int) -> int:
-    """``omega`` as a Python int; a number of states must be an integer."""
+def _integer(value: int, name: str) -> int:
+    """``value`` as a Python int; a count such as ``name`` must be an integer."""
     try:
-        count = operator.index(omega)
+        count = operator.index(value)
     except TypeError:
         count = None
-    # a bool is an int to operator.index, but not a number of states
-    if count is None or isinstance(omega, bool):
-        raise ValueError(f"the number of states must be an integer, got {omega!r}")
+    # a bool is an int to operator.index, but not a count
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return count
 
 
@@ -170,7 +171,7 @@ class ProbVector:
     def uniform(cls, omega: int) -> ProbVector:
         """Equal probabilities over ``omega`` states; ``omega`` is an integer
         in ``[1, 2**20]``."""
-        count = _state_count(omega)
+        count = _integer(omega, "the number of states")
         if count < 1:
             raise ValueError(f"need at least one state, got {count!r}")
         if count > _MAX_UNIFORM_STATES:
@@ -190,33 +191,35 @@ class ProbVector:
 
 
 def _sum_terms(dist: ProbVector, term: Callable) -> float:
-    """The exact sum over the states of ``term(p, log)``.
+    """The exact sum over the states of ``term(p, m)``.
 
-    On the float route ``term`` takes each entry and ``math.log``; on the
-    array route it takes the whole array and ``np.log``, once.
+    On the float route ``term`` takes each entry and the ``math`` module as
+    ``m``; on the array route it takes the whole array and ``numpy``, once.
     """
     if dist._array is None:
-        log = math.log
-        return math.fsum([term(p, log) for p in dist.probs])
+        return math.fsum([term(p, math) for p in dist.probs])
     import numpy as np
 
-    return _fsum(term(dist._array, np.log))
+    return _fsum(term(dist._array, np))
 
 
 def shannon(dist: ProbVector) -> float:
     """Boltzmann-Gibbs entropy -sum(p ln p)."""
     # + 0.0 folds the IEEE -0.0 of a delta distribution into +0.0
-    return -_sum_terms(dist, lambda p, log: p * log(p)) + 0.0
+    return -_sum_terms(dist, lambda p, m: p * m.log(p)) + 0.0
 
 
 def s_plus(dist: ProbVector) -> float:
-    """Non-extensive entropy sum(1 - p**p)."""
-    return _sum_terms(dist, lambda p, log: 1.0 - p**p)
+    """Non-extensive entropy sum(1 - p**p), each term ``-expm1(p ln p)``.
+
+    ``1 - p**p`` would cancel near ``p = 1``; ``p ln p`` lies in [-1/e, 0].
+    """
+    return _sum_terms(dist, lambda p, m: -m.expm1(p * m.log(p)))
 
 
 def s_minus(dist: ProbVector) -> float:
-    """Non-extensive entropy sum(p**(-p) - 1)."""
-    return _sum_terms(dist, lambda p, log: p ** (-p) - 1.0)
+    """Non-extensive entropy sum(p**(-p) - 1), each term ``expm1(-p ln p)``."""
+    return _sum_terms(dist, lambda p, m: m.expm1(-p * m.log(p)))
 
 
 def log_plus(x: float) -> float:
@@ -243,7 +246,7 @@ def _check_q(q: float) -> float:
 def tsallis(dist: ProbVector, q: float) -> float:
     """Tsallis entropy (1 - sum(p**q)) / (q - 1)."""
     q = _check_q(q)
-    return (1.0 - _sum_terms(dist, lambda p, log: p**q)) / (q - 1.0)
+    return (1.0 - _sum_terms(dist, lambda p, m: p**q)) / (q - 1.0)
 
 
 def renyi(dist: ProbVector, q: float) -> float:
@@ -256,14 +259,15 @@ def renyi(dist: ProbVector, q: float) -> float:
     """
     q = _check_q(q)
     p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
-    scaled = _sum_terms(dist, lambda p, log: (p / p_max) ** q)
+    scaled = _sum_terms(dist, lambda p, m: (p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
 
 
 def _equiprob_expansion(omega: int, nterms: int, second_sign: float) -> float:
-    count = _state_count(omega)
+    count = _integer(omega, "the number of states")
     if count < 2:
         raise ValueError(f"the equiprobable expansion needs omega >= 2, got {omega!r}")
+    nterms = _integer(nterms, "nterms")
     if nterms not in (1, 2, 3):
         raise ValueError(f"nterms must be 1, 2, or 3, got {nterms!r}")
     s = math.log(count)

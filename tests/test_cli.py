@@ -106,6 +106,14 @@ def test_maxent_solver_table(capsys):
     code, out, _ = run(capsys, "maxent", "--grid", "0:2:5")
     assert code == 0
     assert "p_plus" in out and "p_minus" in out and "boltzmann" in out
+    # the footer's one record is the largest residual of either kind: on
+    # 0:1:3 it is a minus residual, on 0:1:5 a plus residual
+    for grid in ("0:1:3", "0:1:5"):
+        payload = json.loads(run(capsys, "maxent", "--grid", grid, "--format", "json")[1])
+        residuals = [row[f"residual_{kind}"] for row in payload["table"]
+                     for kind in ("plus", "minus")]
+        assert payload["footer"] == {"max_residual": max(residuals)}
+        assert max(residuals) > 0.0
 
 
 def test_maxent_large_energy_level(capsys):
@@ -439,11 +447,9 @@ def test_dash_led_values_reach_the_program_checks(argv, message, capsys):
         (["boltzmann"], ["boltzmann", "--p", "0.2", "--grid", "0:5:11", "--tol", "1e-8",
                          "--order", "2"]),
         (["entropy"], ["entropy", "--omega", "4", "--q", "2.0"]),
-        (["maxent"], ["maxent", "--beta", "1.0", "--kind", "plus", "--grid", "0:3:31",
-                      "--tol", "1e-12"]),
+        (["maxent"], ["maxent", "--beta", "1.0", "--kind", "plus", "--grid", "0:3:31"]),
         (["fit", "--coeffs", "c.txt"], ["fit", "--kind", "plus", "--order", "4",
-                                        "--grid", DEFAULT_FIT_GRID, "--tol", "1e-12",
-                                        "--coeffs", "c.txt"]),
+                                        "--grid", DEFAULT_FIT_GRID, "--coeffs", "c.txt"]),
         (["derive"], ["derive", "--kind", "plus", "--order", "8", "--mpl", "1.0"]),
         (["gup", "--alpha0", "0.36"], ["gup", "--alpha0", "0.36", "--mpl", "1.0",
                                        "--grid", "0.1:1:10"]),
@@ -463,10 +469,15 @@ def test_defaults_match_their_spelled_out_values(bare, spelled, capsys, tmp_path
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(command, tol, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # the tolerance is checked before any other argument is read
+    # the tolerance is checked before any other argument is read; maxent and
+    # fit take none (their solver's residual bound is fixed), so argparse
+    # refuses the flag itself
     code, out, err = run(capsys, command, "--grid", "bad", "--tol", tol)
     assert (code, out) == (2, "")
-    assert err == f"error: --tol must be positive, got {float(tol)!r}\n"
+    if command == "boltzmann":
+        assert err == f"error: --tol must be positive, got {float(tol)!r}\n"
+    else:
+        assert f"unrecognized arguments: --tol {tol}\n" in err
     assert not list(tmp_path.iterdir())  # fit wrote no coefficient file
 
 
@@ -577,8 +588,6 @@ def assert_exit_3(capsys, *argv):
 
 
 def test_numerical_failures_exit_3(capsys):
-    # unreachable solver tolerance: some grid point keeps a rounding residual
-    assert_exit_3(capsys, "maxent", "--tol", "1e-30")
     # a level whose probability underflows
     assert_exit_3(capsys, "maxent", "--energies", "0,800")
     # unreachable quadrature tolerance

@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,11 +48,11 @@ def shannon_loop(probs):
 
 
 def s_plus_loop(probs):
-    return math.fsum(1.0 - p**p for p in probs)
+    return math.fsum(-math.expm1(p * math.log(p)) for p in probs)
 
 
 def s_minus_loop(probs):
-    return math.fsum(p ** (-p) - 1.0 for p in probs)
+    return math.fsum(math.expm1(-p * math.log(p)) for p in probs)
 
 
 def tsallis_loop(probs, q):
@@ -76,9 +77,9 @@ def gibbs_like(n):
 
 @pytest.mark.parametrize("n", [1, 2, 500, 5000, N, N + 1])
 def test_entropies_match_per_level_formulas(n):
-    # numpy's log/pow differ from math's by at most 1 ulp on some elements.
-    # In 1 - p**p and p**(-p) - 1 that is 1 ulp of a number near 1, so an
-    # absolute error of up to eps per level; the other sums keep rel 1e-14.
+    # numpy's log/expm1/pow differ from math's by at most 1 ulp on some
+    # elements.  In the S+- terms, of size up to 1/e, that stays below an
+    # absolute eps per level; the other sums keep rel 1e-14.
     probs = gibbs_like(n)
     dist = ProbVector(probs)
     per_level = n * np.finfo(float).eps
@@ -200,6 +201,29 @@ def test_frozen_values():
     assert shannon(uniform(4)) == pytest.approx(math.log(4.0), rel=1e-14)
 
 
+def near_certain(n):
+    """n states: n - 1 tiny ones around 1e-16 and one within ~n*1e-16 of 1."""
+    tiny = [1e-16 * (1.0 + k / 1000.0) for k in range(n - 1)]
+    return (*tiny, 1.0 - math.fsum(tiny))
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(1.3519528702031037e-16, 0.9999999999999999), near_certain(N), near_certain(N + 1)],
+    ids=["2", "N", "N+1"],
+)
+def test_deformed_entropies_near_certainty_match_mpmath(probs):
+    # a state with p near 1: 1 - p**p would cancel to an error of an ulp of 1
+    # (1.1% and 3.3% of the sums at 2 states)
+    with mpmath.workdps(50):
+        terms = [mpmath.mpf(p) ** mpmath.mpf(p) for p in probs]
+        plus = float(mpmath.fsum(1 - t for t in terms))
+        minus = float(mpmath.fsum(1 / t - 1 for t in terms))
+    dist = ProbVector(probs)
+    assert s_plus(dist) == close(plus)
+    assert s_minus(dist) == close(minus)
+
+
 def test_delta_distribution_gives_zero():
     for delta in (ProbVector((1.0,)), ProbVector(np.ones(1))):
         for fn in (shannon, s_plus, s_minus):
@@ -300,6 +324,11 @@ def test_equiprob_expansion_values():
         for bad in (math.nan, math.inf, 4.5, 4.0, True, "4", None):
             with pytest.raises(ValueError, match="must be an integer"):
                 expansion(bad, 1)
+        # nterms gets the same check: 2.0 used to slice (TypeError), True took 1
+        assert expansion(4, np.int64(2)) == expansion(4, 2)
+        for bad in (2.0, True, "2", None):
+            with pytest.raises(ValueError, match="nterms must be an integer"):
+                expansion(4, bad)
 
 
 def test_expansion_error_shrinks_and_alternates():

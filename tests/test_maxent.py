@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrogup import maxent
+from entrogup import cli, maxent
 from entrogup.errors import NumericalError
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, tsallis_coeffs
 from entrogup.maxent import (
@@ -76,10 +76,10 @@ def test_zero_coupling_gives_certainty():
 
 def test_solutions_satisfy_their_equations():
     for x in (0.1, 0.7, 3.0, 12.0):
-        sp = solve_p_plus(x, tol=1e-13)
+        sp = solve_p_plus(x)
         assert abs(g_plus_raw(sp.p, x)) < 1e-11
         assert sp.residual <= 1e-13
-        sm = solve_p_minus(x, tol=1e-13)
+        sm = solve_p_minus(x)
         assert abs(g_minus_raw(sm.p, x)) < 1e-11
 
 
@@ -130,17 +130,28 @@ def test_minus_small_x_interior_slope():
     assert (p * math.exp(x) - 1.0) / x == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
-def test_unreachable_tolerance_raises():
-    with pytest.raises(NumericalError, match="residual"):
-        fit_gen_exp("plus", 4, np.linspace(0.0, 3.0, 61), tol=1e-300)
+def test_residual_above_the_fixed_bound_raises(monkeypatch, capsys):
+    # the bound is a module constant, not a parameter; at 0 every grid with a
+    # nonzero rounding residual fails, naming the worst point
+    monkeypatch.setattr(maxent, "_RESIDUAL_BOUND", 0.0)
+    with pytest.raises(NumericalError, match=r"root at x = \S+ has residual .* above the bound 0"):
+        fit_gen_exp("plus", 4, np.linspace(0.0, 3.0, 61))
+    assert cli.main(["maxent"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: root at x = ") and err.count("\n") == 1
+    # neither command takes a tolerance any more
+    for command in ("maxent", "fit"):
+        assert cli.main([command, "--tol", "1e-12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --tol 1e-12" in err
 
 
 def test_solver_input_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_p_plus(bad)
-    with pytest.raises(ValueError):
-        solve_p_minus(1.0, tol=0.0)
 
 
 @given(st.floats(min_value=0.0, max_value=25.0))
@@ -400,7 +411,7 @@ def test_residual_floor(s, x_max):
     # the largest residual on 3e6 such points per range is 2.66e-15 on [0, 5]
     # and 3.55e-15 on [0, 745], for both kinds
     x = np.random.default_rng(2024).uniform(0.0, x_max, 300_000)
-    _, residual = maxent._roots(x, s, 1e-12)
+    _, residual = maxent._roots(x, s)
     assert residual.max() <= 4e-15
 
 
@@ -424,7 +435,7 @@ def g_loop(u, x, s):
     return g, dg
 
 
-def roots_loop(x, s, u, tol=1e-12):
+def roots_loop(x, s, u):
     """Every point iterated in every round until all have stopped, from the
     starting iterate ``u`` clipped into the bracket; returns ``u`` and ``|g|``."""
     x = np.asarray(x, dtype=float)
@@ -451,7 +462,7 @@ def roots_loop(x, s, u, tol=1e-12):
     else:
         raise NumericalError("root refinement did not converge")
     residual = np.abs(g_loop(u, x, s)[0])
-    assert residual.max() <= tol
+    assert residual.max() <= 1e-12
     return u, residual
 
 
@@ -520,7 +531,7 @@ SOLVER_INPUTS = {
 @pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
 def test_roots_bit_identical_to_full_array_loop(name, s):
     x = SOLVER_INPUTS[name]
-    p, residual = maxent._roots(x, s, 1e-12)
+    p, residual = maxent._roots(x, s)
     p_ref, residual_ref = roots_reference(x, s)
     assert np.array_equal(p, p_ref)
     assert np.array_equal(residual, residual_ref)
@@ -531,7 +542,7 @@ def test_roots_bit_identical_to_full_array_loop(name, s):
 def test_roots_bit_identical_on_random_points(xs):
     x = np.array(xs)
     for s in (1, -1):
-        p, residual = maxent._roots(x, s, 1e-12)
+        p, residual = maxent._roots(x, s)
         p_ref, residual_ref = roots_reference(x, s)
         assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
 
@@ -550,7 +561,7 @@ SOLVER_X = (
 def test_roots_bit_identical_on_log_uniform_points(xs):
     x = np.array(xs)
     for s in (1, -1):
-        p, residual = maxent._roots(x, s, 1e-12)
+        p, residual = maxent._roots(x, s)
         p_ref, residual_ref = roots_reference(x, s)
         assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
 
@@ -577,7 +588,7 @@ def test_table_start_keeps_the_cold_start_roots(xs):
     for s in (1, -1):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p, residual = maxent._roots(x, s, 1e-12)
+            p, residual = maxent._roots(x, s)
             u = maxent._newton(x, s, maxent._start(x, s))
         u_cold, _ = roots_loop(x, s, x)
         assert np.all(np.abs(u - u_cold) <= 8.0 * np.finfo(float).eps * np.maximum(u_cold, 1.0))
@@ -591,7 +602,7 @@ def test_roots_stop_in_three_rounds(monkeypatch, name, s):
     # three passes of g: two Newton rounds and the residual pass.  From u = x
     # it took six Newton rounds, from a start table linear in u / x three.
     x = SOLVER_INPUTS[name]
-    maxent._roots(x, s, 1e-12)  # the start table is built outside the count
+    maxent._roots(x, s)  # the start table is built outside the count
     calls = []
     g = maxent._g
 
@@ -600,7 +611,7 @@ def test_roots_stop_in_three_rounds(monkeypatch, name, s):
         return g(*args, **kwargs)
 
     monkeypatch.setattr(maxent, "_g", counted)
-    maxent._roots(x, s, 1e-12)
+    maxent._roots(x, s)
     assert len(calls) <= 3
 
 
@@ -673,7 +684,7 @@ def test_start_table_with_a_non_finite_slope_is_refused(monkeypatch, s):
     monkeypatch.setattr(maxent, "_tables", {})
     monkeypatch.setattr(maxent, "_g", flat_at_two)
     with pytest.raises(NumericalError, match=r"non-finite entry at x = 2$"):
-        maxent._roots(np.array([0.5]), s, 1e-12)
+        maxent._roots(np.array([0.5]), s)
     assert not maxent._tables
 
 
@@ -693,14 +704,14 @@ def test_roots_name_the_first_point_left_open_at_the_round_cap(monkeypatch, s):
     monkeypatch.setattr(maxent, "_tables", {})
     monkeypatch.setattr(maxent, "_g", nan_at_two)
     with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
-        maxent._roots(x, s, 1e-12)
+        maxent._roots(x, s)
     assert not maxent._tables
     monkeypatch.setattr(maxent, "_g", g)
-    maxent._roots(x, s, 1e-12)
+    maxent._roots(x, s)
     assert s in maxent._tables
     monkeypatch.setattr(maxent, "_g", nan_at_two)
     with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
-        maxent._roots(x, s, 1e-12)
+        maxent._roots(x, s)
 
 
 # --------------------------------------------------------------------------
@@ -736,6 +747,16 @@ def test_load_rejects_unknown_keys(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="unknown keys"):
+        load_coeffs(path)
+
+
+def test_load_rejects_repeated_keys(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "kind = plus\ndegree = 1\na0 = 1.0\na1 = 0.5\na1 = 0.25\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="line 5 repeats the key 'a1'"):
         load_coeffs(path)
 
 
