@@ -182,6 +182,9 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _cmd_boltzmann(args: argparse.Namespace) -> Report:
+    # Checked before any other argument is read.
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive, got {args.tol!r}")
     from .superstats import (
         GammaBetaParams,
         boltzmann_closed,
@@ -336,20 +339,19 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
     if args.coeffs is not None:
         coeffs = load_coeffs(args.coeffs).coeffs
         source = f"file:{args.coeffs}"
-    elif args.kind == "tsallis" or args.q is not None:
-        q = 1.0 if args.q is None else args.q
+    elif args.q is not None:
         if args.order > MAX_ORDER:
             # Refused here, by the order given: tsallis_coeffs sees only half of it.
             raise ValueError(f"order must lie in [4, {MAX_ORDER}], got {args.order}")
         # Terms a_j H**j with 2j > order fall outside the truncation anyway.
         try:
-            coeffs = tsallis_coeffs(q, order=max(2, args.order // 2))
+            coeffs = tsallis_coeffs(args.q, order=max(2, args.order // 2))
         except ValueError:
-            if not math.isfinite(q):
+            if not math.isfinite(args.q):
                 raise
             # The only other refusal: a_j grows like |1-q|**j and overflows.
             raise ValueError(
-                f"the q-exponential's series coefficients overflow for q = {q!r} "
+                f"the q-exponential's series coefficients overflow for q = {args.q!r} "
                 f"at --order {args.order}"
             ) from None
         source = "tsallis"
@@ -397,12 +399,21 @@ def _cmd_gup(args: argparse.Namespace) -> Report:
         raise ValueError("gup requires --alpha0 (try: entrogup gup --alpha0 0.36)")
     params = GupParams(args.alpha0, args.mpl)
     ks = _parse_grid(args.grid)
+    regime = regime_summary(params)
 
     rows = []
     for k in ks:
         if k <= 0.0:
             raise ValueError(f"wavenumbers must be positive, got {k!r}")
         p = p_of_k(params, k)
+        # Past an argument of ~19.06, tanh(sqrt(|alpha|) k) rounds to 1 and p
+        # lands on the cap, which uncertainty_lower_bound refuses: a limit of
+        # double precision, not bad input.
+        if regime.max_momentum is not None and p >= regime.max_momentum:
+            raise NumericalError(
+                f"p(k) rounds to the momentum cap 1/sqrt(|alpha|) = "
+                f"{regime.max_momentum:g} in double precision at k = {k!r}"
+            )
         rows.append(
             [k, p, commutator_rhs(params, p), uncertainty_lower_bound(params, p)]
         )
@@ -410,7 +421,7 @@ def _cmd_gup(args: argparse.Namespace) -> Report:
     report.add("alpha0", params.alpha0)
     report.add("m_pl", params.m_pl)
     report.add("alpha", params.alpha)
-    _add_regime(report, regime_summary(params))
+    _add_regime(report, regime)
     return report
 
 
@@ -468,7 +479,7 @@ _COMMANDS: dict[str, tuple] = {
     "derive": (
         _cmd_derive,
         "deformation parameter from coefficients (file, --q, or built-in)",
-        {"--coeffs": None, "--kind": ("plus", "minus", "tsallis"), "--q": None,
+        {"--coeffs": None, "--kind": ("plus", "minus"), "--q": None,
          "--order": 8, "--mpl": 1.0},
     ),
     "gup": (
@@ -526,9 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
     try:
-        # Checked before the handler reads any other argument.
-        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValueError(f"--tol must be positive, got {args.tol!r}")
         report = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,9 +60,10 @@ _FLOAT_ROUTE_TYPES = {float, int, bool}
 # (a float in the ``probs`` tuple, and the array), ~80 MB at this count.
 _MAX_UNIFORM_STATES = 1 << 20
 
-# np.bincount adds at most this many values into one binade's partial, whose
-# 27-bit (hi) or 26-bit (lo) significands then sum exactly in 53 bits.
-_FSUM_CHUNK = 1 << 26
+# Most values the kernel sums in numpy: np.bincount then adds at most this many
+# into one binade's partial, whose 27-bit (hi) or 26-bit (lo) significands sum
+# exactly in 53 bits.  No caller builds a larger array.
+_FSUM_MAX = 1 << 26
 # The kernel sums in numpy while (largest binade + 1) + bit length of the size
 # stays within this: the magnitudes then sum below 2**978, so no partial sum,
 # here or in math.fsum, comes near overflow.
@@ -78,24 +79,20 @@ def _fsum(values: np.ndarray) -> float:
     one partial per binade and part (Zhu & Hayes, ACM TOMS 37, 2010).
     ``math.fsum`` rounds the at most 4096 nonzero partials once.  Non-finite
     values, and values large enough that a partial sum could overflow, go to
-    ``math.fsum`` itself, whose result or exception then depends on order.
+    ``math.fsum`` itself, whose result or exception then depends on order; so
+    do arrays of more than ``_FSUM_MAX`` values.
     """
     import numpy as np
 
     bits = values.view(np.int64)
     binade = (bits >> 52) & 2047
     hi = (bits & -(1 << 26)).view(np.float64)
-    partials: list[float] = []
-    for start in range(0, values.size, _FSUM_CHUNK):
-        chunk = slice(start, start + _FSUM_CHUNK)
-        hi_sums = np.bincount(binade[chunk], hi[chunk])
-        # hi_sums has one entry per binade up to the largest in the chunk
-        if hi_sums.size + values.size.bit_length() > _FSUM_TOP:
-            return math.fsum(values.tolist())
-        lo_sums = np.bincount(binade[chunk], values[chunk] - hi[chunk])
-        partials += hi_sums[hi_sums != 0.0].tolist()
-        partials += lo_sums[lo_sums != 0.0].tolist()
-    return math.fsum(partials)
+    hi_sums = np.bincount(binade, hi)
+    # hi_sums has one entry per binade up to the largest
+    if values.size > _FSUM_MAX or hi_sums.size + values.size.bit_length() > _FSUM_TOP:
+        return math.fsum(values.tolist())
+    lo_sums = np.bincount(binade, values - hi)
+    return math.fsum(hi_sums[hi_sums != 0.0].tolist() + lo_sums[lo_sums != 0.0].tolist())
 
 
 def _small_floats(probs) -> list[float] | None:
@@ -243,21 +240,45 @@ def _check_q(q: float) -> float:
     return q
 
 
+# Below this |q - 1|, tsallis and renyi sum p**q - p, not p**q (see _near_one).
+_NEAR_ONE = 0.5
+
+
+def _near_one(dist: ProbVector, d: float) -> float:
+    """``sum(p**(1 + d) - p)`` for ``|d| < _NEAR_ONE``, each term ``p expm1(d ln p)``.
+
+    ``1 - sum(p**q)`` would divide its rounding error, and the up to 1e-12
+    by which the entries may miss a sum of 1, by ``q - 1``.  Here
+    ``|d ln p| < 373`` for every double ``p``, so ``expm1`` cannot overflow.
+    """
+    return _sum_terms(dist, lambda p, m: p * m.expm1(d * m.log(p)))
+
+
 def tsallis(dist: ProbVector, q: float) -> float:
-    """Tsallis entropy (1 - sum(p**q)) / (q - 1)."""
+    """Tsallis entropy (1 - sum(p**q)) / (q - 1).
+
+    For ``|q - 1| < 1/2`` it is ``-sum(p expm1((q - 1) ln p)) / (q - 1)``.
+    """
     q = _check_q(q)
-    return (1.0 - _sum_terms(dist, lambda p, m: p**q)) / (q - 1.0)
+    d = q - 1.0
+    # + 0.0 folds the -0.0 of a delta distribution into +0.0
+    if abs(d) < _NEAR_ONE:
+        return -_near_one(dist, d) / d + 0.0
+    return (1.0 - _sum_terms(dist, lambda p, m: p**q)) / d + 0.0
 
 
 def renyi(dist: ProbVector, q: float) -> float:
     """Renyi entropy ln(sum(p**q)) / (1 - q).
 
-    Evaluated as ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``: the
-    largest term of the scaled sum is 1, so it cannot underflow at large q.
-    The first term is divided before it is added, so ``q ln p_max`` cannot
-    overflow either.
+    For ``|q - 1| < 1/2`` it is ``log1p(sum(p expm1((q - 1) ln p))) / (1 - q)``.
+    Elsewhere it is evaluated as ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``:
+    the largest term of the scaled sum is 1, so it cannot underflow at large
+    q.  The first term is divided before it is added, so ``q ln p_max``
+    cannot overflow either.
     """
     q = _check_q(q)
+    if abs(q - 1.0) < _NEAR_ONE:
+        return math.log1p(_near_one(dist, q - 1.0)) / (1.0 - q) + 0.0
     p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
     scaled = _sum_terms(dist, lambda p, m: (p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0

@@ -17,6 +17,7 @@ performs that least-squares compression over an ``x`` grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -117,9 +118,9 @@ _NODES = round(_TABLE_END / _STEP)
 # (-1/3, -95/162).  At x = 0, _table's ratio u / x is 0/0, and for minus
 # its u' = -g_x / g_u too (g_u(0, 0) = 0).
 _ORIGIN = {1: (1.0, -0.75), -1: (4.0 / 3.0, 52.0 / 81.0)}
-_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Hermite coefficients ``(c0, c1, c2, c3)`` of kind ``s``'s start
     table: ``r_s = c0 + c1 t + c2 t**2 + c3 t**3`` at ``x = (k + t) * _STEP``,
@@ -129,7 +130,8 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ``u = x``.  Their slopes ``r' = (u' - r) / x`` follow from the implicit
     function theorem, ``u' = -g_x / g_u`` with ``g_x = 1 + s (p - p u)``; the
     node at 0 takes the exact limits of ``_ORIGIN``.  A table with a
-    non-finite entry is refused.
+    non-finite entry is refused.  Each kind's table is built on its first
+    call and cached; a build that raises leaves nothing cached.
     """
     nodes = np.arange(_NODES + 1) * _STEP
     u = _newton(nodes, s, nodes.copy())
@@ -164,15 +166,9 @@ def _start(x: np.ndarray, s: int) -> np.ndarray:
     """Starting iterate ``u = x r_s(x)`` for :func:`_newton`, with ``r_s`` the
     cubic Hermite interpolant of the kind's start table and ``x`` clamped to
     the table end, where ``r_s`` is 1: past the table end the start is the
-    Gibbs guess ``x``.
-
-    The table (see :func:`_table`) is built on the first call of each kind
-    and cached; a build that raises leaves nothing cached.
+    Gibbs guess ``x``; see :func:`_table`.
     """
-    table = _tables.get(s)
-    if table is None:
-        table = _tables[s] = _table(s)
-    c0, c1, c2, c3 = table
+    c0, c1, c2, c3 = _table(s)
     t = np.minimum(x, _TABLE_END)
     t *= 1.0 / _STEP
     k = t.astype(np.intp)

@@ -185,9 +185,8 @@ _RULES = np.stack((_MEAN, 200.0 * (_MEAN - 0.5 * _GAUSS)), axis=1)
 # Weights of QUADPACK's rounding floor on the error, 50 eps times |f|'s mean.
 _FLOOR = 50.0 * float(np.finfo(float).eps) * _MEAN
 
-# Initial panels of [a, b], in units of b - a from a: [0, 4**-16],
-# [4**-16, 4**-15], ..., [1/4, 1], narrowing toward a = 0, where t**(1/p - 1)
-# is not smooth.
+# Initial panels of [0, b], in units of b: [0, 4**-16], [4**-16, 4**-15],
+# ..., [1/4, 1], narrowing toward 0, where t**(1/p - 1) is not smooth.
 _GRADED = np.concatenate(([0.0], 0.25 ** np.arange(16, -1, -1)))
 # Work limits of ``quad``; past them it returns its current error estimate.
 _MAX_ROUNDS = 60
@@ -210,12 +209,12 @@ def _qk21(func, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
     return mean, np.maximum(err, floor), floor
 
 
-def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
-    """Adaptive 21-point Gauss-Kronrod integral of ``func`` over ``[a, b]``.
+def quad(func, b: float, epsrel: float) -> tuple[float, float]:
+    """Adaptive 21-point Gauss-Kronrod integral of ``func`` over ``[0, b]``.
 
     ``func`` maps an array of abscissae to an array of values.  Returns the
     integral and an estimate of its absolute error.  The initial panels narrow
-    geometrically toward ``a``.  Each round evaluates every open panel in one
+    geometrically toward 0.  Each round evaluates every open panel in one
     ``func`` call, stops once the summed error estimate is at most
     ``epsrel * |integral|``, and otherwise bisects the panels whose estimate
     is above both their length's share of that bound and its rounding floor
@@ -226,7 +225,7 @@ def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
     ``boltzmann_quadrature`` looks it up as a module global, so a wrapper
     patched in here sees every integrator call.
     """
-    lo, hi = a + (b - a) * _GRADED[:-1], a + (b - a) * _GRADED[1:]
+    lo, hi = b * _GRADED[:-1], b * _GRADED[1:]
     closed_value = closed_err = 0.0
     for _ in range(_MAX_ROUNDS):
         width = hi - lo
@@ -236,10 +235,10 @@ def quad(func, a: float, b: float, epsrel: float) -> tuple[float, float]:
         bound = epsrel * abs(total)
         if error <= bound or width.size > _MAX_PANELS:
             break
-        # err is per unit length: err * width > bound * width / (b - a).  A
+        # err is per unit length: err * width > bound * width / b.  A
         # panel at its rounding floor keeps that floor per unit length when
         # bisected, so it is split only as the worst panel.
-        split = ((err > bound / (b - a)) & (err > floor)) | (err == err.max())
+        split = ((err > bound / b) & (err > floor)) | (err == err.max())
         keep = ~split
         closed_value += float(width[keep].dot(mean[keep]))
         closed_err += float(width[keep].dot(err[keep]))
@@ -309,7 +308,7 @@ def boltzmann_quadrature(
     # x*r or (...)/p past the largest float only occurs where the integrand is
     # 0.  Where p*beta0*E overflows, c = inf leaves [0, 0] and the value is 0.
     with np.errstate(over="ignore"):
-        value, abserr = quad(integrand, 0.0, upper, epsrel) if c < math.inf else (0.0, 0.0)
+        value, abserr = quad(integrand, upper, epsrel) if c < math.inf else (0.0, 0.0)
     if not value >= sys.float_info.min:  # 0, or below the normal range
         raise NumericalError(
             "could not push the quadrature tail below the requested tolerance "

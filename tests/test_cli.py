@@ -372,6 +372,14 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "derive", "--mpl", "1e-170")[0] == 2  # m_pl**2 underflows
 
 
+def test_derive_kind_has_no_tsallis_choice(capsys):
+    # --q alone picks the q-exponential; --kind is plus or minus on every command
+    code, out, err = run(capsys, "derive", "--kind", "tsallis")
+    assert code == 2
+    assert out == ""
+    assert "argument --kind: invalid choice: 'tsallis'" in err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("alpha0, k", [("1e-13", "1e200"), ("1e-13", "1e7")])
 def test_gup_small_alpha_past_the_domain_exits_2(alpha0, k, capsys):
     # was an OverflowError traceback (exit 1) at 1e200 and a value at 1e7
@@ -380,6 +388,19 @@ def test_gup_small_alpha_past_the_domain_exits_2(alpha0, k, capsys):
     assert out == ""
     assert err.startswith("error: |k| must stay below pi/(2 sqrt(alpha))")
     assert err.count("\n") == 1
+
+
+def test_gup_at_the_rounded_momentum_cap_exits_3(capsys):
+    # tanh(sqrt(0.5) k) rounds to 1 past k ~ 26.957 (argument ~ 19.06), so p
+    # lands on the cap, which uncertainty_lower_bound refuses: a limit of
+    # double precision (was exit 2, naming the spread)
+    code, out, err = run(capsys, "gup", "--alpha0", "-0.5", "--grid", "0.1:40:5")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: p(k) rounds to the momentum cap 1/sqrt(|alpha|) = 1.41421 "
+                   "in double precision at k = 30.025\n")
+    assert run(capsys, "gup", "--alpha0", "-0.5", "--grid", "26.957098945385045")[0] == 0
+    assert run(capsys, "gup", "--alpha0", "-0.5", "--grid", "26.95709894538505")[0] == 3
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -415,8 +436,7 @@ def test_missing_subcommand_exits_2(capsys):
     [
         (("gup", "--alpha0", "-5e-1", "--grid", "0.1:1:2"),
          ("gup", "--alpha0=-5e-1", "--grid", "0.1:1:2")),
-        (("derive", "--kind", "tsallis", "--q", "-1e-3"),
-         ("derive", "--kind", "tsallis", "--q=-1e-3")),
+        (("derive", "--q", "-1e-3"), ("derive", "--q=-1e-3")),
     ],
 )
 def test_dash_led_values_read_as_their_flag_value(spaced, joined, capsys):
@@ -641,7 +661,8 @@ def test_unrepresentable_levels_fail_without_warnings(argv, exit_code, capsys):
 @pytest.mark.parametrize("order", ["258", str(10**20)])
 @pytest.mark.parametrize("kind", ["plus", "tsallis"])
 def test_series_order_above_max_exits_2(kind, order, capsys):
-    code, out, err = run(capsys, "derive", "--kind", kind, "--order", order)
+    selector = {"plus": ("--kind", "plus"), "tsallis": ("--q", "1")}[kind]
+    code, out, err = run(capsys, "derive", *selector, "--order", order)
     assert code == 2
     assert out == ""
     assert err.startswith("error: order must lie in [") and ", 256], got " in err
@@ -651,7 +672,7 @@ def test_series_order_above_max_exits_2(kind, order, capsys):
 def test_tsallis_order_above_max_names_the_order_given(capsys):
     # the tsallis coefficients are built to half the order; the refusal must
     # still name the order on the command line
-    code, out, err = run(capsys, "derive", "--kind", "tsallis", "--order", str(10**20))
+    code, out, err = run(capsys, "derive", "--q", "1", "--order", str(10**20))
     assert code == 2
     assert out == ""
     assert f"got {10**20}\n" in err

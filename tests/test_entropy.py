@@ -224,14 +224,37 @@ def test_deformed_entropies_near_certainty_match_mpmath(probs):
     assert s_minus(dist) == close(minus)
 
 
+@pytest.mark.parametrize("q", [1.0 - 1e-7, 1.0 + 1e-7, 0.7, 1.3])
+@pytest.mark.parametrize(
+    "probs",
+    [(0.999999999, 1e-9), (1.3519528702031037e-16, 0.9999999999999999),
+     near_certain(N), near_certain(N + 1), gibbs_like(N), gibbs_like(500)],
+    ids=["2", "2-delta", "N-delta", "N+1-delta", "N", "500"],
+)
+def test_tsallis_renyi_near_q_one_match_mpmath(probs, q):
+    # 1 - sum(p**q) divides its rounding error by q - 1: at q = 1 + 1e-7 on
+    # (0.999999999, 1e-9) that put tsallis 2.9% and renyi 1.8% off
+    with mpmath.workdps(60):
+        big_q = mpmath.mpf(q)
+        gap = mpmath.fsum(mpmath.mpf(p) * (mpmath.mpf(p) ** (big_q - 1) - 1) for p in probs)
+        reference_tsallis = float(-gap / (big_q - 1))
+        reference_renyi = float(mpmath.log1p(gap) / (1 - big_q))
+    dist = ProbVector(probs)
+    assert tsallis(dist, q) == close(reference_tsallis)
+    assert renyi(dist, q) == close(reference_renyi)
+
+
 def test_delta_distribution_gives_zero():
     for delta in (ProbVector((1.0,)), ProbVector(np.ones(1))):
         for fn in (shannon, s_plus, s_minus):
             value = fn(delta)
             assert value == 0.0
             assert math.copysign(1.0, value) == 1.0  # plain zero, not -0.0
-        assert tsallis(delta, 2.0) == 0.0
-        assert renyi(delta, 2.0) == 0.0
+        for q in (0.3, 0.9, 2.0):
+            for fn in (tsallis, renyi):
+                value = fn(delta, q)
+                assert value == 0.0
+                assert math.copysign(1.0, value) == 1.0
 
 
 prob_vectors = st.integers(min_value=2, max_value=8).flatmap(
@@ -459,7 +482,7 @@ def test_fsum_kernel_any_doubles_like_math_fsum(values):
 )
 @settings(max_examples=200, deadline=None)
 def test_fsum_kernel_in_chunks(values, chunk):
-    # arrays longer than 2**26 are summed chunk by chunk
-    with mock.patch.object(entropy, "_FSUM_CHUNK", chunk):
+    # arrays longer than 2**26 go to math.fsum itself
+    with mock.patch.object(entropy, "_FSUM_MAX", chunk):
         assert_fsum_matches(values)
         assert_fsum_matches(1.0 / (1.0 + np.abs(values)))

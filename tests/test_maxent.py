@@ -652,8 +652,7 @@ def test_start_table_takes_the_exact_limits_at_zero(s):
     # r(0) = 1 - a1 and r'(0) = a1**2 / 2 - a2, where the slope formula is 0/0
     # (minus: g_u(0, 0) = 0): plus (1, -3/4), minus (4/3, 52/81)
     a1, a2 = SMALL_X_SERIES[s]
-    maxent._start(np.array([1.0]), s)
-    c0, c1, _, _ = maxent._tables[s]
+    c0, c1, _, _ = maxent._table(s)
     assert (c0[0], c1[0] / maxent._STEP) == ({1: (1.0, -0.75), -1: (4 / 3, 52 / 81)}[s])
     for x in (1e-3, 1e-4):
         with mpmath.workdps(50):
@@ -661,18 +660,26 @@ def test_start_table_takes_the_exact_limits_at_zero(s):
             assert abs(scaled - (1 + float(a1) * x + float(a2) * x * x)) <= 2.0 * x**3
 
 
+@pytest.fixture
+def cold_tables():
+    # no start table cached before the test, and none it built after it
+    maxent._table.cache_clear()
+    yield
+    maxent._table.cache_clear()
+
+
 @pytest.mark.parametrize("s", [1, -1])
-def test_start_table_builds_without_warnings(monkeypatch, s):
+def test_start_table_builds_without_warnings(cold_tables, s):
     # the minus slope is 0/0 at the node 0
-    monkeypatch.setattr(maxent, "_tables", {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         maxent._start(np.array([0.0, 1.0]), s)
-    assert all(np.isfinite(column).all() for column in maxent._tables[s])
+    assert maxent._table.cache_info().currsize == 1
+    assert all(np.isfinite(column).all() for column in maxent._table(s))
 
 
 @pytest.mark.parametrize("s", [1, -1])
-def test_start_table_with_a_non_finite_slope_is_refused(monkeypatch, s):
+def test_start_table_with_a_non_finite_slope_is_refused(cold_tables, monkeypatch, s):
     # g_u = 0 at the node x = 2 makes its slope infinite; bisection still
     # finds every root
     g = maxent._g
@@ -681,15 +688,14 @@ def test_start_table_with_a_non_finite_slope_is_refused(monkeypatch, s):
         value, slope = g(u, x, *args, **kwargs)
         return value, np.where(x == 2.0, 0.0, slope)
 
-    monkeypatch.setattr(maxent, "_tables", {})
     monkeypatch.setattr(maxent, "_g", flat_at_two)
     with pytest.raises(NumericalError, match=r"non-finite entry at x = 2$"):
         maxent._roots(np.array([0.5]), s)
-    assert not maxent._tables
+    assert maxent._table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("s", [1, -1])
-def test_roots_name_the_first_point_left_open_at_the_round_cap(monkeypatch, s):
+def test_roots_name_the_first_point_left_open_at_the_round_cap(cold_tables, monkeypatch, s):
     # g is NaN at x = 2, so that point neither moves its bracket nor stops;
     # every other point stops in a few rounds and rides along to the cap.
     # x = 2 is a node of the start table too: with no table cached, the
@@ -701,14 +707,13 @@ def test_roots_name_the_first_point_left_open_at_the_round_cap(monkeypatch, s):
         return np.where(x == 2.0, np.nan, value), slope
 
     x = np.linspace(0.0, 4.0, 9)
-    monkeypatch.setattr(maxent, "_tables", {})
     monkeypatch.setattr(maxent, "_g", nan_at_two)
     with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
         maxent._roots(x, s)
-    assert not maxent._tables
+    assert maxent._table.cache_info().currsize == 0
     monkeypatch.setattr(maxent, "_g", g)
     maxent._roots(x, s)
-    assert s in maxent._tables
+    assert maxent._table.cache_info().currsize == 1
     monkeypatch.setattr(maxent, "_g", nan_at_two)
     with pytest.raises(NumericalError, match=r"did not converge at x = 2$"):
         maxent._roots(x, s)
