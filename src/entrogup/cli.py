@@ -261,8 +261,6 @@ def _cmd_entropy(args: argparse.Namespace) -> Report:
 
 
 def _cmd_maxent(args: argparse.Namespace) -> Report:
-    import numpy as np
-
     from .maxent import _roots, maxent_distribution
 
     if args.energies is not None:
@@ -284,11 +282,11 @@ def _cmd_maxent(args: argparse.Namespace) -> Report:
         return report
 
     xs = _parse_grid(args.grid)
-    solved = np.column_stack([xs, *_roots(xs, 1), *_roots(xs, -1)])
+    solved = [a.tolist() for a in (*_roots(xs, 1), *_roots(xs, -1))]
     columns = ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"]
-    rows = [[*row, math.exp(-row[0])] for row in solved.tolist()]
+    rows = [[x, *row, math.exp(-x)] for x, *row in zip(xs, *solved)]
     report = Report("maxent", columns=columns, rows=rows)
-    report.add("max_residual", float(solved[:, [2, 4]].max()))  # of either kind
+    report.add("max_residual", max(solved[1] + solved[3]))  # of either kind
     return report
 
 

@@ -1,8 +1,10 @@
 """Discrete entropy measures built from probabilities alone (k_B = 1).
 
-Every sum over states, here and in ``maxent.maxent_distribution``, is
-``math.fsum`` of the terms, the correctly rounded exact sum.  A distribution
-takes one of two routes, chosen by its number of states:
+Every entropy here is the correctly rounded sum of non-negative per-state
+terms (Tsallis's divided by ``|q - 1|``, Renyi's the logarithm of one), so no
+sum cancels: each sum over states, here and in
+``maxent.maxent_distribution``, is ``math.fsum`` of the terms.  A
+distribution takes one of two routes, chosen by its number of states:
 
 - up to ``_FLOAT_ROUTE_MAX`` states, :class:`ProbVector` validates Python
   floats and the entropies sum their terms with ``math`` functions and
@@ -12,15 +14,15 @@ takes one of two routes, chosen by its number of states:
   float per state.  numpy is imported only on this route.
 
 Each entropy writes its per-state term once; :func:`_sum_terms` evaluates it
-on either route.  ``ProbVector`` plus the five entropies, with numpy already
-loaded (best of 7, 2-core shared Xeon host, Python 3.11, numpy 2.4), took
-11 vs 92 us (float vs array route) at 4 states, 75 vs 97 us at 64, 113 vs
-100 us at 96, 143 vs 111 us at 128 and 272 vs 119 us at 256.  The routes
-cross near 80 states; the float route runs up to 128, where it costs ~30 us
-more in a process that has numpy, and a cold ``entropy`` call skips the
-numpy import.  numpy's SIMD ``log``, ``expm1`` and ``pow`` differ from libm's
-by at most an ulp on some arguments, so a sum may differ in its last bits
-between the routes.
+on either route.  ``ProbVector`` plus the five entropies (Tsallis and Renyi
+at q = 2), with numpy already loaded (best of 7, 2-core shared Xeon host,
+Python 3.11, numpy 2.4), took 15 vs 115 us (float vs array route) at 4
+states, 110 vs 118 us at 64, 153 vs 121 us at 96, 201 vs 122 us at 128 and
+383 vs 141 us at 256.  The routes cross near 70 states; the float route runs
+up to 128, where it costs ~80 us more in a process that has numpy, and a
+cold ``entropy`` call skips the numpy import.  numpy's SIMD ``log``,
+``expm1`` and ``pow`` differ from libm's by at most an ulp on some
+arguments, so a sum may differ in its last bits between the routes.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ def _sum_terms(dist: ProbVector, term: Callable) -> float:
         return math.fsum([term(p, math) for p in dist.probs])
     import numpy as np
 
-    return _fsum(term(dist._array, np))
+    # _deficit's |q - 1| ln p may overflow to -inf, which its expm1 takes
+    with np.errstate(over="ignore"):
+        return _fsum(term(dist._array, np))
 
 
 def shannon(dist: ProbVector) -> float:
@@ -240,45 +244,44 @@ def _check_q(q: float) -> float:
     return q
 
 
-# Below this |q - 1|, tsallis and renyi sum p**q - p, not p**q (see _near_one).
-_NEAR_ONE = 0.5
+def _deficit(dist: ProbVector, q: float) -> float:
+    """``|q - 1| tsallis(dist, q)``, the sum over the states of
+    ``p**min(q, 1) * -expm1(|q - 1| ln p)``: ``p - p**q`` above q = 1 and
+    ``p**q - p`` below it.
 
-
-def _near_one(dist: ProbVector, d: float) -> float:
-    """``sum(p**(1 + d) - p)`` for ``|d| < _NEAR_ONE``, each term ``p expm1(d ln p)``.
-
-    ``1 - sum(p**q)`` would divide its rounding error, and the up to 1e-12
-    by which the entries may miss a sum of 1, by ``q - 1``.  Here
-    ``|d ln p| < 373`` for every double ``p``, so ``expm1`` cannot overflow.
+    Every term lies in [0, 1], so none overflows and the sum cannot cancel,
+    as ``1 - sum(p**q)`` does near q = 1 and on near-certain distributions;
+    nor does it carry the up to 1e-12 by which the entries may miss a sum of
+    1.  ``|q - 1| ln p`` may overflow to -inf, where expm1 is -1.
     """
-    return _sum_terms(dist, lambda p, m: p * m.expm1(d * m.log(p)))
+    d = abs(q - 1.0)
+    e = min(q, 1.0)
+    return _sum_terms(dist, lambda p, m: p**e * -m.expm1(d * m.log(p)))
 
 
 def tsallis(dist: ProbVector, q: float) -> float:
-    """Tsallis entropy (1 - sum(p**q)) / (q - 1).
-
-    For ``|q - 1| < 1/2`` it is ``-sum(p expm1((q - 1) ln p)) / (q - 1)``.
-    """
+    """Tsallis entropy (1 - sum(p**q)) / (q - 1), summed as
+    ``sum(p (1 - p**(q - 1))) / (q - 1)`` (see :func:`_deficit`)."""
     q = _check_q(q)
-    d = q - 1.0
     # + 0.0 folds the -0.0 of a delta distribution into +0.0
-    if abs(d) < _NEAR_ONE:
-        return -_near_one(dist, d) / d + 0.0
-    return (1.0 - _sum_terms(dist, lambda p, m: p**q)) / d + 0.0
+    return _deficit(dist, q) / abs(q - 1.0) + 0.0
 
 
 def renyi(dist: ProbVector, q: float) -> float:
     """Renyi entropy ln(sum(p**q)) / (1 - q).
 
-    For ``|q - 1| < 1/2`` it is ``log1p(sum(p expm1((q - 1) ln p))) / (1 - q)``.
-    Elsewhere it is evaluated as ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``:
-    the largest term of the scaled sum is 1, so it cannot underflow at large
-    q.  The first term is divided before it is added, so ``q ln p_max``
-    cannot overflow either.
+    ``sum(p**q)`` is ``1 + _deficit`` below q = 1 and ``1 - _deficit`` above;
+    while it is at least 1/2, the entropy is ``log1p(+-_deficit) / (1 - q)``,
+    the sign that of ``1 - q``.  Below 1/2, where ``p**q`` may underflow at
+    large q, it is ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``: the
+    largest term of the scaled sum is 1, so it cannot underflow, and the
+    first term is divided before it is added, so ``q ln p_max`` cannot
+    overflow either.
     """
     q = _check_q(q)
-    if abs(q - 1.0) < _NEAR_ONE:
-        return math.log1p(_near_one(dist, q - 1.0)) / (1.0 - q) + 0.0
+    deficit = _deficit(dist, q)
+    if q < 1.0 or deficit <= 0.5:
+        return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
     p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
     scaled = _sum_terms(dist, lambda p, m: (p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0

@@ -102,6 +102,28 @@ def test_entropy_renyi_at_large_q(capsys):
     assert "renyi = 0.693147181" in out
 
 
+def test_entropy_tsallis_renyi_near_certainty(capsys):
+    # 1 - sum(p**q) cancels here: it printed tsallis 2.08721929e-14 and renyi
+    # 2.09832152e-14, where 60-digit mpmath gives 2.09944039e-14 for both
+    code, out, err = run(capsys, "entropy", "--probs", "0.999999999999993,7e-15", "--q", "1.5")
+    assert (code, err) == (0, "")
+    assert "\ntsallis = 2.09944039e-14\n" in out
+    assert "\nrenyi = 2.09944039e-14\n" in out
+
+
+def test_entropy_at_largest_q_on_the_array_route_is_quiet():
+    # |q - 1| ln p overflows to -inf there, which numpy's multiply would warn of
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "entrogup", "entropy",
+         "--omega", "129", "--q", "1e308"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "\ntsallis = 1e-308\nrenyi = 4.8598124\n" in proc.stdout
+
+
 def test_maxent_solver_table(capsys):
     code, out, _ = run(capsys, "maxent", "--grid", "0:2:5")
     assert code == 0

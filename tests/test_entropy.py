@@ -63,6 +63,11 @@ def renyi_loop(probs, q):
     return math.log(math.fsum(p**q for p in probs)) / (1.0 - q) + 0.0
 
 
+def deficit_loop(probs, q):
+    """|q - 1| tsallis, term by term: p**min(q, 1) * -expm1(|q - 1| ln p)."""
+    return math.fsum(p ** min(q, 1.0) * -math.expm1(abs(q - 1.0) * math.log(p)) for p in probs)
+
+
 def close(reference, abs=0.0):
     return pytest.approx(reference, rel=1e-14, abs=abs)
 
@@ -94,7 +99,8 @@ def test_entropies_match_per_level_formulas(n):
         assert shannon(dist) == shannon_loop(probs)
         assert s_plus(dist) == s_plus_loop(probs)
         assert s_minus(dist) == s_minus_loop(probs)
-        assert tsallis(dist, 3.7) == tsallis_loop(probs, 3.7)
+        for q in (0.5, 3.7):
+            assert tsallis(dist, q) == deficit_loop(probs, q) / abs(q - 1.0) + 0.0
 
 
 @pytest.mark.parametrize("container", [tuple, list, np.array])
@@ -224,24 +230,55 @@ def test_deformed_entropies_near_certainty_match_mpmath(probs):
     assert s_minus(dist) == close(minus)
 
 
+NEAR_CERTAIN = {
+    "2": (0.999999999, 1e-9),
+    "2-delta": (1.3519528702031037e-16, 0.9999999999999999),
+    "2-7e-15": (0.999999999999993, 7e-15),
+    "N-7e-15": split_last((0.999999999999993, 7e-15), N),
+    "N+1-7e-15": split_last((0.999999999999993, 7e-15), N + 1),
+    "N-delta": near_certain(N),
+    "N+1-delta": near_certain(N + 1),
+}
+SPREAD = {"N": gibbs_like(N), "500": gibbs_like(500)}
+
+
+def check_tsallis_renyi_against_mpmath(probs, q):
+    # The reference reads the entries as a normalized distribution: the gap
+    # sum(p**q - p) leaves out the up to 1e-12 by which they may miss a sum
+    # of 1, as tsallis and renyi do.  Where sum(p**q) < 1/2, renyi sums
+    # (p/p_max)**q and so evaluates ln sum(p**q) itself.
+    with mpmath.workdps(60):
+        big_q = mpmath.mpf(q)
+        gap = mpmath.fsum(mpmath.mpf(p) * (mpmath.mpf(p) ** (big_q - 1) - 1) for p in probs)
+        power_sum = mpmath.fsum(mpmath.mpf(p) ** big_q for p in probs)
+        reference_tsallis = float(-gap / (big_q - 1))
+        if power_sum < 0.5:
+            reference_renyi = float(mpmath.log(power_sum) / (1 - big_q))
+        else:
+            reference_renyi = float(mpmath.log1p(gap) / (1 - big_q))
+    dist = ProbVector(probs)
+    assert tsallis(dist, q) == close(reference_tsallis)
+    assert renyi(dist, q) == close(reference_renyi)
+
+
 @pytest.mark.parametrize("q", [1.0 - 1e-7, 1.0 + 1e-7, 0.7, 1.3])
 @pytest.mark.parametrize(
-    "probs",
-    [(0.999999999, 1e-9), (1.3519528702031037e-16, 0.9999999999999999),
-     near_certain(N), near_certain(N + 1), gibbs_like(N), gibbs_like(500)],
-    ids=["2", "2-delta", "N-delta", "N+1-delta", "N", "500"],
+    "probs", [*NEAR_CERTAIN.values(), *SPREAD.values()], ids=[*NEAR_CERTAIN, *SPREAD]
 )
 def test_tsallis_renyi_near_q_one_match_mpmath(probs, q):
     # 1 - sum(p**q) divides its rounding error by q - 1: at q = 1 + 1e-7 on
     # (0.999999999, 1e-9) that put tsallis 2.9% and renyi 1.8% off
-    with mpmath.workdps(60):
-        big_q = mpmath.mpf(q)
-        gap = mpmath.fsum(mpmath.mpf(p) * (mpmath.mpf(p) ** (big_q - 1) - 1) for p in probs)
-        reference_tsallis = float(-gap / (big_q - 1))
-        reference_renyi = float(mpmath.log1p(gap) / (1 - big_q))
-    dist = ProbVector(probs)
-    assert tsallis(dist, q) == close(reference_tsallis)
-    assert renyi(dist, q) == close(reference_renyi)
+    check_tsallis_renyi_against_mpmath(probs, q)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 1.5, 2.0, 3.7, 10.0, 1000.0])
+@pytest.mark.parametrize(
+    "probs", [*NEAR_CERTAIN.values(), *SPREAD.values()], ids=[*NEAR_CERTAIN, *SPREAD]
+)
+def test_tsallis_renyi_away_from_q_one_match_mpmath(probs, q):
+    # 1 - sum(p**q) cancels on near-certain inputs at every q: on
+    # (0.999999999999993, 7e-15) at q = 1.5 it put tsallis 0.6% off
+    check_tsallis_renyi_against_mpmath(probs, q)
 
 
 def test_delta_distribution_gives_zero():
@@ -309,9 +346,10 @@ def test_tsallis_renyi_values():
             renyi(two, bad_q)
 
 
-@pytest.mark.parametrize("omega", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("omega", [1, 2, 3, 7, 64, N + 1])
 def test_renyi_of_uniform_is_log_omega_at_every_q(omega):
-    # p**q underflows to 0 at the large q, which ln(sum(p**q)) cannot take
+    # p**q underflows to 0 at the large q, which ln(sum(p**q)) cannot take;
+    # at q = 1e308, |q - 1| ln p overflows to -inf, on the array route too
     for q in (0.5, 2.0, 1000.0, 2000.0, 1e308):
         assert renyi(uniform(omega), q) == close(math.log(omega))
 
