@@ -261,7 +261,7 @@ def _cmd_entropy(args: argparse.Namespace) -> Report:
 
 
 def _cmd_maxent(args: argparse.Namespace) -> Report:
-    from .maxent import _roots, maxent_distribution
+    from .maxent import _root_lists, maxent_distribution
 
     if args.energies is not None:
         energies = _parse_floats(args.energies, "--energies")
@@ -282,7 +282,7 @@ def _cmd_maxent(args: argparse.Namespace) -> Report:
         return report
 
     xs = _parse_grid(args.grid)
-    solved = [a.tolist() for a in (*_roots(xs, 1), *_roots(xs, -1))]
+    solved = [*_root_lists(xs, 1), *_root_lists(xs, -1)]
     columns = ["x", "p_plus", "residual_plus", "p_minus", "residual_minus", "boltzmann"]
     rows = [[x, *row, math.exp(-x)] for x, *row in zip(xs, *solved)]
     report = Report("maxent", columns=columns, rows=rows)

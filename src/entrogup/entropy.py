@@ -15,12 +15,14 @@ distribution takes one of two routes, chosen by its number of states:
 
 Each entropy writes its per-state term once; :func:`_sum_terms` evaluates it
 on either route.  ``ProbVector`` plus the five entropies (Tsallis and Renyi
-at q = 2), with numpy already loaded (best of 7, 2-core shared Xeon host,
-Python 3.11, numpy 2.4), took 15 vs 115 us (float vs array route) at 4
-states, 110 vs 118 us at 64, 153 vs 121 us at 96, 201 vs 122 us at 128 and
-383 vs 141 us at 256.  The routes cross near 70 states; the float route runs
-up to 128, where it costs ~80 us more in a process that has numpy, and a
-cold ``entropy`` call skips the numpy import.  numpy's SIMD ``log``,
+at q = 2) on near-uniform inputs, with numpy already loaded (best of 7,
+2-core shared Xeon host, Python 3.11, numpy 2.4), took 22 vs 161 us (float
+vs array route) at 4 states, 152 vs 177 us at 64, 176 vs 172 us at 80,
+209 vs 176 us at 96, 281 vs 188 us at 128 and 540 vs 212 us at 256.  The
+routes cross at 70-80 states; the float route runs up to 64, below the
+crossover, so it costs no caller time in a process that has numpy, and a
+cold ``entropy`` call skips the numpy import.  ``maxent`` takes the same
+route by the same test (:func:`_small_floats`).  numpy's SIMD ``log``,
 ``expm1`` and ``pow`` differ from libm's by at most an ulp on some
 arguments, so a sum may differ in its last bits between the routes.
 """
@@ -54,7 +56,7 @@ _SUM_TOL = 1e-12
 
 # Most states a distribution holds as Python floats alone (the float route);
 # larger ones are float64 arrays.  Timings in the module docstring.
-_FLOAT_ROUTE_MAX = 128
+_FLOAT_ROUTE_MAX = 64
 # Entry types the float route converts with float(), as numpy would.
 _FLOAT_ROUTE_TYPES = {float, int, bool}
 
@@ -276,13 +278,19 @@ def renyi(dist: ProbVector, q: float) -> float:
     large q, it is ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``: the
     largest term of the scaled sum is 1, so it cannot underflow, and the
     first term is divided before it is added, so ``q ln p_max`` cannot
-    overflow either.
+    overflow either.  Above q = 1, ``sum(p**q) <= p_max**(q - 1) sum(p)``
+    picks the second form without summing ``_deficit`` where that bound is
+    below 1/2 by more than the ``_SUM_TOL`` by which ``sum(p)`` may exceed 1
+    (and the deficit's rounding), so the form is the one the deficit picks.
     """
     q = _check_q(q)
-    deficit = _deficit(dist, q)
-    if q < 1.0 or deficit <= 0.5:
-        return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
-    p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
+    p_max = None
+    if q > 1.0:
+        p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
+    if p_max is None or p_max ** (q - 1.0) >= 0.5 - _SUM_TOL:
+        deficit = _deficit(dist, q)
+        if q < 1.0 or deficit <= 0.5:
+            return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
     scaled = _sum_terms(dist, lambda p, m: (p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
 

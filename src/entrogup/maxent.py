@@ -8,22 +8,31 @@ implicit equation linking a state's probability ``p`` to ``x = beta * E``:
 * minus kind: ``1 + ln p + x (1 - p - p ln p) - p**p    = 0``
 
 Both reduce to the Gibbs weight ``p = exp(-x)`` as dominant behavior.  One
-array solver finds the roots of both, in ``u = -ln p`` (see :func:`_roots`):
-every finite ``x >= 0`` has a root, and ``p = exp(-u)`` stays representable up
-to ``x`` of about 745.  The solutions can be compressed into a generalized
-exponential ``exp(-x) * sum_j a_j x**j`` with ``a_0 = 1``; :func:`fit_gen_exp`
-performs that least-squares compression over an ``x`` grid.
+safeguarded Newton iteration finds the roots of both, in ``u = -ln p`` (see
+:func:`_roots`): every finite ``x >= 0`` has a root, and ``p = exp(-u)`` stays
+representable up to ``x`` of about 745.  The solutions can be compressed into
+a generalized exponential ``exp(-x) * sum_j a_j x**j`` with ``a_0 = 1``;
+:func:`fit_gen_exp` performs that least-squares compression over an ``x`` grid.
+
+An input takes one of ``entropy``'s two routes, chosen by
+``entropy._small_floats``: up to ``entropy._FLOAT_ROUTE_MAX`` points, Python
+floats, one :func:`_root` per point and, for the fit, a Householder QR
+(:func:`_lstsq`), so that cold ``maxent`` and ``fit`` calls on such inputs run
+without numpy; above it, float64 arrays, :func:`_roots` and
+``np.linalg.lstsq``.  numpy is imported only on the array route.  The two
+routes stop on the same rule but from different starts, so a root may differ
+in its last bits between them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 # The coefficient values and files are numpy-free and live in ansatz; they
 # are re-exported here.
@@ -36,8 +45,11 @@ from .ansatz import (
     load_coeffs,
     save_coeffs,
 )
-from .entropy import ProbVector, _fsum
+from .entropy import ProbVector, _fsum, _small_floats
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MaxEntSolution",
@@ -61,6 +73,12 @@ _SIGN = {"plus": 1, "minus": -1}
 # most 3.55e-15 on 3e6 seeded points per kind over [0, 745].
 _RESIDUAL_BOUND = 1e-12
 
+# The stop rule's width, in units of max(u, 1), on both routes; see _newton.
+_ULP4 = 4.0 * sys.float_info.epsilon
+
+# Most sweeps of _singular_values; a handful settle the fit's small R.
+_JACOBI_SWEEPS = 30
+
 
 @dataclass(frozen=True)
 class MaxEntSolution:
@@ -71,13 +89,15 @@ class MaxEntSolution:
     residual: float
 
 
-def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
+def _g(u, x, s: int, m, slope: bool = True):
     """Implicit equation of kind ``s`` in ``u = -ln p``, and its ``u``-derivative.
 
     ``g = 1 - u + x (1 + s (p - p u)) - exp(s p u)`` is the equation of the
     module docstring with ``ln p = -u``.  It is written with ``expm1`` so that
     the interior minus root keeps its digits where ``p`` is close to 1.
-    Returns ``(g, dg)``, or ``(g, p)`` when ``slope`` is false.
+    ``m`` is ``math`` for one float ``u`` and ``x``, or ``numpy`` for arrays;
+    the arithmetic is the same on both.  Returns ``(g, dg)``, or ``(g, p)``
+    when ``slope`` is false.
 
     Each kind has its own arithmetic with ``s`` folded in.  For ``s = +-1``
     the products ``s * a`` are exact sign flips, ``a - (-b)`` is ``a + b`` and
@@ -86,19 +106,19 @@ def _g(u: np.ndarray, x: np.ndarray, s: int, slope: bool = True):
     of the single formula above.
     """
     nu = -u
-    p = np.exp(nu)
+    p = m.exp(nu)
     pu = p * u
     if s > 0:
-        g = x * (1.0 + p - pu) - (np.expm1(pu) + u)
+        g = x * (1.0 + p - pu) - (m.expm1(pu) + u)
         if not slope:
             return g, p
-        dg = -np.exp(pu) * (p - pu) - 1.0 - x * (2.0 * p - pu)
+        dg = -m.exp(pu) * (p - pu) - 1.0 - x * (2.0 * p - pu)
     else:
         npu = -pu
-        g = x * (pu - np.expm1(nu)) - (np.expm1(npu) + u)
+        g = x * (pu - m.expm1(nu)) - (m.expm1(npu) + u)
         if not slope:
             return g, p
-        dg = np.exp(npu) * (p - pu) - 1.0 + x * (2.0 * p - pu)
+        dg = m.exp(npu) * (p - pu) - 1.0 + x * (2.0 * p - pu)
     return g, dg
 
 
@@ -133,10 +153,12 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     non-finite entry is refused.  Each kind's table is built on its first
     call and cached; a build that raises leaves nothing cached.
     """
+    import numpy as np
+
     nodes = np.arange(_NODES + 1) * _STEP
     u = _newton(nodes, s, nodes.copy())
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, dg = _g(u, nodes, s)
+        _, dg = _g(u, nodes, s, np)
         p = np.exp(-u)
         du = -(1.0 + s * (p - p * u)) / dg
         ratio = u / nodes
@@ -168,6 +190,8 @@ def _start(x: np.ndarray, s: int) -> np.ndarray:
     the table end, where ``r_s`` is 1: past the table end the start is the
     Gibbs guess ``x``; see :func:`_table`.
     """
+    import numpy as np
+
     c0, c1, c2, c3 = _table(s)
     t = np.minimum(x, _TABLE_END)
     t *= 1.0 / _STEP
@@ -187,6 +211,8 @@ def _start(x: np.ndarray, s: int) -> np.ndarray:
 def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
     """Refine the iterate ``u`` (overwritten) to the roots ``u = -ln p`` at every
     ``x``; see :func:`_roots`."""
+    import numpy as np
+
     lo = 0.5 * x if s < 0 else np.zeros_like(x)
     with np.errstate(over="ignore"):
         # capped where 2x + 2 overflows (g is negative at the cap too); the
@@ -196,16 +222,15 @@ def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
     np.minimum(u, hi, out=u)
     u_root = np.empty_like(x)
     open = np.ones(x.shape, dtype=bool)  # the points that have not stopped
-    ulp4 = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(200):
-            g, dg = _g(u, x, s)
+            g, dg = _g(u, x, s, np)
             np.copyto(lo, u, where=g > 0.0)
             np.copyto(hi, u, where=g < 0.0)
             step = g / dg
             step[g == 0.0] = 0.0
             ulps = np.maximum(u, 1.0)
-            ulps *= ulp4
+            ulps *= _ULP4
             small = np.abs(step) <= ulps
             done = small | (hi - lo <= ulps)
             u -= step  # the Newton iterate
@@ -224,7 +249,7 @@ def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
 
 def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
-    every ``x`` of a 1-D array, with their residuals ``|g|``.
+    every ``x`` of a 1-D array, with their residuals ``|g|``: the array route.
 
     Newton's method in ``u = -ln p``, safeguarded by bisection on the bracket
     ``[0, 2x + 2]`` (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes
@@ -240,27 +265,92 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     ride along until every point has stopped, and their later iterates are
     never read.  A residual above ``_RESIDUAL_BOUND`` raises, naming its ``x``.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
-        raise ValueError(
-            f"x = beta*E must be finite and non-negative, got {float(x[bad][0])!r}"
-        )
+        raise _bad_x(float(x[bad][0]))
     u_root = _newton(x, s, _start(x, s))
-    g, p = _g(u_root, x, s, slope=False)
+    g, p = _g(u_root, x, s, np, slope=False)
     residual = np.abs(g)
     worst = int(np.argmax(residual))
-    if residual[worst] > _RESIDUAL_BOUND:
-        raise NumericalError(
-            f"root at x = {x[worst]:g} has residual {residual[worst]:g} "
-            f"above the bound {_RESIDUAL_BOUND:g}"
-        )
+    _check_residual(float(x[worst]), float(residual[worst]))
     return p, residual
 
 
+def _bad_x(x: float) -> ValueError:
+    return ValueError(f"x = beta*E must be finite and non-negative, got {x!r}")
+
+
+def _check_residual(x: float, residual: float) -> None:
+    """Refuse the root at ``x``, the worst of its input, if its residual
+    ``|g|`` exceeds ``_RESIDUAL_BOUND``."""
+    if residual > _RESIDUAL_BOUND:
+        raise NumericalError(
+            f"root at x = {x:g} has residual {residual:g} "
+            f"above the bound {_RESIDUAL_BOUND:g}"
+        )
+
+
+def _root(x: float, s: int) -> float:
+    """The root ``u = -ln p`` at one float ``x >= 0``: :func:`_newton` on one
+    Python float.
+
+    The same bracket, stop rule, bisection guard and 200-round cap, started
+    from the Gibbs guess ``u = x``, which lies inside the bracket; it stops
+    within six rounds for every double ``x``, so it needs no start table.
+    """
+    lo = 0.5 * x if s < 0 else 0.0
+    hi = min(2.0 * x + 2.0, sys.float_info.max)
+    u = x
+    for _ in range(200):
+        g, dg = _g(u, x, s, math)
+        if g > 0.0:
+            lo = u
+        elif g < 0.0:
+            hi = u
+        # g / dg as numpy divides it: 0 where g is 0, and a step that leaves
+        # the bracket where only dg is 0
+        step = 0.0 if g == 0.0 else g / dg if dg else math.inf
+        ulps = _ULP4 * max(u, 1.0)
+        small = abs(step) <= ulps
+        done = small or hi - lo <= ulps
+        u -= step
+        if not (small or lo < u < hi):
+            u = 0.5 * lo + 0.5 * hi
+        if done:
+            return u
+    raise NumericalError(f"root refinement did not converge at x = {x:g}")
+
+
+def _float_roots(xs: list[float], s: int) -> tuple[list[float], list[float]]:
+    """:func:`_roots` on the float route: the roots ``p`` at every ``x`` of a
+    list of Python floats and their residuals, with the same checks and
+    messages."""
+    for x in xs:
+        if not (math.isfinite(x) and x >= 0.0):
+            raise _bad_x(x)
+    g, p = zip(*[_g(_root(x, s), x, s, math, slope=False) for x in xs])
+    residual = list(map(abs, g))
+    worst = max(range(len(xs)), key=residual.__getitem__)
+    _check_residual(xs[worst], residual[worst])
+    return list(p), residual
+
+
+def _root_lists(xs, s: int) -> tuple[list[float], list[float]]:
+    """The roots and residuals at every ``x`` of a 1-D sequence, as lists of
+    Python floats, on the route that ``entropy._small_floats`` picks."""
+    values = _small_floats(xs)
+    if values is not None:
+        return _float_roots(values, s)
+    p, residual = _roots(xs, s)
+    return p.tolist(), residual.tolist()
+
+
 def _solution(x: float, s: int) -> MaxEntSolution:
-    p, residual = _roots([x], s)
-    return MaxEntSolution(x, float(p[0]), float(residual[0]))
+    (p,), (residual,) = _root_lists([x], s)
+    return MaxEntSolution(x, p, residual)
 
 
 def solve_p_plus(x: float) -> MaxEntSolution:
@@ -324,10 +414,130 @@ def fit_gen_exp(kind: str, degree: int, grid: Iterable[float]) -> GenExpFit:
         raise ValueError(f"degree must be an integer, got {degree!r}") from None
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
-    if isinstance(grid, np.ndarray):
-        xs = np.array(grid, dtype=float)
+    if not hasattr(grid, "ndim"):
+        grid = list(grid)  # an iterable, read once whichever route takes it
+    xs = _small_floats(grid)
+    if xs is None:
+        solution, rms, lo, hi, count = _fit_arrays(_SIGN[kind], degree, grid)
     else:
-        xs = np.asarray(list(grid), dtype=float)
+        solution, rms, lo, hi, count = _fit_floats(_SIGN[kind], degree, xs)
+    coeffs = AnsatzCoeffs((1.0, *solution), kind=kind)
+    return GenExpFit(coeffs, rms, f"{_grid_number(lo)}:{_grid_number(hi)}:{count}")
+
+
+def _too_wide(degree: int, x_max: float) -> ValueError:
+    return ValueError(
+        f"the grid window is too wide for degree {degree}: x**{degree} * exp(-x) "
+        f"is not finite at x = {x_max:g}"
+    )
+
+
+def _fit_floats(s: int, degree: int, xs: list[float]):
+    """:func:`fit_gen_exp` on the float route: the coefficients ``a_1..a_degree``
+    as a list, the RMS deviation, and the grid's minimum, maximum and count."""
+    count = len(xs)
+    if count < degree + 1:
+        raise ValueError(f"need at least {degree + 1} grid points, got {count}")
+    if not all(math.isfinite(x) and x >= 0.0 for x in xs):
+        raise ValueError("grid points must be finite and non-negative")
+    # -0.0 and 0.0 are one point, as on the array route
+    if len(set(xs)) < degree + 1:
+        raise ValueError(f"need at least {degree + 1} distinct grid points")
+
+    probs, _ = _float_roots(xs, s)
+    weight = [math.exp(-x) for x in xs]
+    try:
+        design = [[w * x**j for w, x in zip(weight, xs)] for j in range(1, degree + 1)]
+    except OverflowError:
+        raise _too_wide(degree, max(xs)) from None
+    solution = _lstsq(design, [p - w for p, w in zip(probs, weight)])
+    square = math.fsum(
+        (w + math.fsum(map(operator.mul, row, solution)) - p) ** 2
+        for w, p, row in zip(weight, probs, zip(*design))
+    )
+    return solution, math.sqrt(square / count), min(xs), max(xs), count
+
+
+def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
+    """The coefficients ``c`` that minimize ``|sum_j c_j columns[j] - rhs|``.
+
+    Householder QR with ``math.fsum`` inner products, then back substitution.
+    Each column is first scaled by a power of two to a largest magnitude in
+    [1/2, 1), which changes no bit of the factorization but keeps its sums of
+    squares from underflowing.  The rank test is ``np.linalg.lstsq``'s with
+    its default ``rcond``: the design is rank deficient where its smallest
+    singular value, that of ``R``, is at most ``eps * max(rows, columns)``
+    times its largest.
+    """
+    rows, width = len(rhs), len(columns)
+    scales = [math.frexp(max(map(abs, column)))[1] for column in columns]
+    a = [[math.ldexp(v, -e) for v in column] for column, e in zip(columns, scales)]
+    b = list(rhs)
+    for k in range(width):
+        v = a[k][k:]
+        norm = _norm(v)
+        if norm == 0.0:
+            continue  # a zero column below row k: R's diagonal entry is 0
+        v[0] += math.copysign(norm, v[0])
+        half = norm * abs(v[0])  # v.v / 2
+        for column in (*a[k + 1:], b):
+            f = math.fsum(map(operator.mul, v, column[k:])) / half
+            for i, t in enumerate(v, k):
+                column[i] -= f * t
+        a[k][k:] = [-math.copysign(norm, v[0])] + [0.0] * (rows - k - 1)
+    # R unscaled, up to one common power of two
+    top = max(scales)
+    r = [[math.ldexp(t, e - top) for t in column[:width]] for column, e in zip(a, scales)]
+    limit = sys.float_info.epsilon * max(rows, width)
+    # sigma_min <= min |R_kk| and sigma_max >= R's largest column norm: a
+    # test that settles high-degree fits without the O(width**3) sweeps
+    deficient = min(abs(column[k]) for k, column in enumerate(r)) <= limit * max(map(_norm, r))
+    if not deficient:
+        sigma = _singular_values(r)
+        deficient = min(sigma) <= limit * max(sigma)
+    if deficient:
+        raise NumericalError("the fit design matrix is rank deficient on this grid")
+    c = [0.0] * width
+    for k in reversed(range(width)):
+        c[k] = (b[k] - math.fsum(a[j][k] * c[j] for j in range(k + 1, width))) / a[k][k]
+    return [math.ldexp(v, -e) for v, e in zip(c, scales)]
+
+
+def _singular_values(columns: list[list[float]]) -> list[float]:
+    """The singular values of a matrix given by its columns, by one-sided
+    Jacobi rotations (Hestenes): pairs of columns are rotated until every
+    pair is orthogonal to within an ulp, and the column norms are left."""
+    a = [list(column) for column in columns]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in itertools.combinations(range(len(a)), 2):
+            x, y = a[i], a[j]
+            xx = math.fsum(t * t for t in x)
+            yy = math.fsum(t * t for t in y)
+            xy = math.fsum(map(operator.mul, x, y))
+            if abs(xy) <= sys.float_info.epsilon * math.sqrt(xx) * math.sqrt(yy):
+                continue
+            rotated = True
+            zeta = (yy - xx) / (2.0 * xy)
+            tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cos = 1.0 / math.hypot(1.0, tan)
+            sin = cos * tan
+            a[i] = [cos * p - sin * q for p, q in zip(x, y)]
+            a[j] = [sin * p + cos * q for p, q in zip(x, y)]
+        if not rotated:
+            break
+    return list(map(_norm, a))
+
+
+def _norm(v: list[float]) -> float:
+    return math.sqrt(math.fsum(t * t for t in v))
+
+
+def _fit_arrays(s: int, degree: int, grid):
+    """:func:`fit_gen_exp` on the array route; returns as :func:`_fit_floats`."""
+    import numpy as np
+
+    xs = np.array(grid, dtype=float)
     if xs.ndim != 1 or xs.size < degree + 1:
         raise ValueError(f"need at least {degree + 1} grid points, got {xs.size}")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
@@ -338,24 +548,19 @@ def fit_gen_exp(kind: str, degree: int, grid: Iterable[float]) -> GenExpFit:
     if np.count_nonzero(np.diff(ordered)) + 1 < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
 
-    probs, _ = _roots(xs, _SIGN[kind])
+    probs, _ = _roots(xs, s)
     weight = np.exp(-xs)
     with np.errstate(over="ignore", invalid="ignore"):
         design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
     if not np.all(np.isfinite(design)):
-        raise ValueError(
-            f"the grid window is too wide for degree {degree}: x**{degree} * exp(-x) "
-            f"is not finite at x = {xs.max():g}"
-        )
+        raise _too_wide(degree, ordered[-1])
     rhs = probs - weight
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < degree:
         raise NumericalError("the fit design matrix is rank deficient on this grid")
-    coeffs = AnsatzCoeffs((1.0, *(float(v) for v in solution)), kind=kind)
     model = weight + design @ solution
     rms = float(np.sqrt(np.mean((model - probs) ** 2)))
-    descriptor = f"{_grid_number(ordered[0])}:{_grid_number(ordered[-1])}:{xs.size}"
-    return GenExpFit(coeffs, rms, descriptor)
+    return solution.tolist(), rms, ordered[0], ordered[-1], xs.size
 
 
 def _grid_number(value: float) -> str:
@@ -383,6 +588,48 @@ def maxent_distribution(energies: Sequence[float], beta: float, kind: str) -> Pr
         raise ValueError(f"kind must be plus, minus, or boltzmann, got {kind!r}")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be non-negative, got {beta!r}")
+    levels = _small_floats(energies)
+    if levels is None:
+        levels, probs, e_min, zero = _distribution_arrays(energies, beta, kind)
+    else:
+        probs, e_min, zero = _distribution_floats(levels, beta, kind)
+    if zero is not None:
+        energy = float(levels[zero])
+        where = f"x = beta*E = {beta * energy:g}"
+        if kind == "boltzmann":
+            where += f", beta*(E - E_min) = {beta * (energy - e_min):g}"
+        raise NumericalError(
+            f"the probability of level {zero} ({where}) underflows to 0 in double precision"
+        )
+    return ProbVector(probs)
+
+
+def _distribution_floats(levels: list[float], beta: float, kind: str):
+    """The normalized weights of :func:`maxent_distribution` on the float
+    route, the ``E_min`` they are measured from (boltzmann) and the first
+    level whose weight is 0, or None."""
+    if not levels:
+        raise ValueError("need at least one energy level")
+    if not all(map(math.isfinite, levels)):
+        raise ValueError("energies must be finite")
+    e_min = 0.0
+    if kind == "boltzmann":
+        # see _distribution_arrays; an E - E_min that overflows gives -beta * inf
+        e_min = min(levels) if beta else 0.0
+        weights = [math.exp(-beta * (e - e_min)) for e in levels]
+    else:
+        weights, _ = _float_roots([beta * e for e in levels], _SIGN[kind])
+    total = math.fsum(weights)
+    # a total of 0 means every weight underflowed (never for boltzmann)
+    probs = [w / total for w in weights] if total > 0.0 else weights
+    return probs, e_min, next((i for i, p in enumerate(probs) if p == 0.0), None)
+
+
+def _distribution_arrays(energies, beta: float, kind: str):
+    """:func:`_distribution_floats` on the array route, for any other input;
+    returns the levels as an array first."""
+    import numpy as np
+
     levels = np.array(energies, dtype=float)
     if levels.ndim != 1:
         raise ValueError(f"energies must form a 1-D sequence, got shape {levels.shape}")
@@ -390,11 +637,12 @@ def maxent_distribution(energies: Sequence[float], beta: float, kind: str) -> Pr
         raise ValueError("need at least one energy level")
     if not np.isfinite(levels).all():
         raise ValueError("energies must be finite")
+    e_min = 0.0
     if kind == "boltzmann":
         # Measured from the lowest level, so no weight overflows; normalising
         # removes the common factor exp(-beta * E_min).  At beta = 0 every
         # weight is 1 anyway, and E - E_min may overflow to inf (0 * inf = nan).
-        # For beta > 0 such an inf gives a zero weight, reported below.
+        # For beta > 0 such an inf gives a zero weight, reported by the caller.
         e_min = float(levels.min()) if beta else 0.0
         with np.errstate(over="ignore"):
             weights = np.exp(-beta * (levels - e_min))
@@ -403,16 +651,6 @@ def maxent_distribution(energies: Sequence[float], beta: float, kind: str) -> Pr
             xs = beta * levels
         weights = _roots(xs, _SIGN[kind])[0]
     total = _fsum(weights)
-    # a total of 0 means every weight underflowed (never for boltzmann)
     probs = weights / total if total > 0.0 else weights
     zero = np.flatnonzero(probs == 0.0)
-    if zero.size:
-        level = int(zero[0])
-        energy = float(levels[level])
-        where = f"x = beta*E = {beta * energy:g}"
-        if kind == "boltzmann":
-            where += f", beta*(E - E_min) = {beta * (energy - e_min):g}"
-        raise NumericalError(
-            f"the probability of level {level} ({where}) underflows to 0 in double precision"
-        )
-    return ProbVector(probs)
+    return levels, probs, e_min, int(zero[0]) if zero.size else None

@@ -825,3 +825,39 @@ def test_module_execution_subprocess():
     assert proc.returncode == 0
     records = json.loads(proc.stdout)["records"]
     assert records["alpha0_pipeline"] == pytest.approx(PUBLISHED_PLUS, abs=1e-5)
+
+
+# An input of up to entropy._FLOAT_ROUTE_MAX (64) points takes the float
+# route; the same input padded past it takes the array route.
+PAST_ROUTE = ",0" * 63
+
+
+@pytest.mark.parametrize(
+    "argv, padded",
+    [
+        (("maxent", "--energies", "0,800"), ("maxent", "--energies", "0,800" + PAST_ROUTE)),
+        (("maxent", "--energies", "800,801"), ("maxent", "--energies", "800,801" + PAST_ROUTE)),
+        (("maxent", "--energies", "0,2", "--beta", "1e308"),
+         ("maxent", "--energies", "0,2" + PAST_ROUTE, "--beta", "1e308")),
+        (("maxent", "--energies", "1e308,1e308"),
+         ("maxent", "--energies", "1e308,1e308" + PAST_ROUTE)),
+        (("maxent", "--grid", "-1e308:1e308:3"), ("maxent", "--grid", "-1e308:1e308:65")),
+        (("maxent", "--grid", "0:1e308:5"), ("maxent", "--grid", "0:1e308:65")),
+        (("fit", "--grid", "-1e308:1e308:3"), ("fit", "--grid", "-1e308:1e308:65")),
+        (("fit", "--grid", "0:1e308:5"), ("fit", "--grid", "0:1e308:65")),
+    ],
+    ids=["energies-0,800", "energies-800,801", "beta-1e308", "energies-1e308",
+         "maxent-grid-span", "maxent-grid-1e308", "fit-grid-span", "fit-grid-1e308"],
+)
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_errors_match_on_both_sides_of_the_float_route(capsys, tmp_path, argv, padded, kind):
+    coeffs = ("--coeffs", str(tmp_path / "c.txt")) if argv[0] == "fit" else ()
+    code, _, err = run(capsys, *argv, "--kind", kind, *coeffs)
+    padded_code, _, padded_err = run(capsys, *padded, "--kind", kind, *coeffs)
+    assert padded_code == code
+    # a refused grid echoes its own count
+    assert padded_err == err.replace(argv[2], padded[2])
+    if argv == ("maxent", "--grid", "0:1e308:5"):
+        assert (code, err) == (0, "")
+    else:
+        assert code in (2, 3) and err.startswith("error: ") and err.count("\n") == 1

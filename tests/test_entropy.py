@@ -358,6 +358,61 @@ def test_renyi_at_large_q_tends_to_min_entropy():
     assert renyi(ProbVector((0.25, 0.75)), 1e308) == close(-math.log(0.75))
 
 
+def renyi_by_deficit(dist, q):
+    """renyi with its route picked by the summed _deficit alone."""
+    deficit = entropy._deficit(dist, q)
+    if q < 1.0 or deficit <= 0.5:
+        return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
+    p_max = max(dist.probs)
+    scaled = entropy._sum_terms(dist, lambda p, m: (p / p_max) ** q)
+    return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
+
+
+def seeded_distribution(seed):
+    """One of 48 seeded inputs on both routes: Dirichlet weights from near
+    uniform to near certain, and uniform ones, where sum(p**q) equals the
+    p_max bound."""
+    n = (2, 3, 4, 8, 16, N, N + 1, 300)[seed % 8]
+    if seed % 6 == 5:
+        return uniform(n)
+    concentration = (0.05, 0.3, 1.0, 5.0, 50.0)[seed % 5]
+    weights = np.random.default_rng([7, seed]).dirichlet([concentration] * n)
+    weights = np.maximum(weights, 1e-300).tolist()
+    total = math.fsum(weights)
+    return ProbVector(tuple(w / total for w in weights))
+
+
+RENYI_Q = (0.5, 1.0 + 1e-7, 1.01, 1.3, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 100.0, 1e308)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_renyi_routes_from_p_max_as_the_deficit_does(seed):
+    # above q = 1, a p_max**(q - 1) below 1/2 (less _SUM_TOL) skips the
+    # deficit sum; the value keeps its bits at every q, and at the q where
+    # that bound crosses 1/2 (sum(p**q) itself, for the uniform inputs)
+    dist = seeded_distribution(seed)
+    p_max = max(dist.probs)
+    edge = 1.0 + math.log(0.5) / math.log(p_max) if p_max < 1.0 else 2.0
+    for q in (*RENYI_Q, *(edge * (1.0 + k * 1e-6) for k in range(-3, 4))):
+        assert renyi(dist, q) == renyi_by_deficit(dist, q), q
+
+
+def test_renyi_skips_the_deficit_where_p_max_bounds_the_sum():
+    calls = []
+    deficit = entropy._deficit
+
+    def counted(*args):
+        calls.append(args)
+        return deficit(*args)
+
+    with mock.patch.object(entropy, "_deficit", counted):
+        renyi(uniform(N), 2.0)  # p_max = 1/N
+        assert calls == []
+        renyi(uniform(2), 2.0)  # sum(p**2) = 1/2 exactly: the deficit decides
+        renyi(uniform(N), 0.5)  # below q = 1 the deficit is the entropy
+    assert len(calls) == 2
+
+
 @given(prob_vectors)
 @settings(max_examples=100)
 def test_tsallis_renyi_shannon_limit(pv):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrogup import cli, maxent
+from entrogup import cli, entropy, maxent
 from entrogup.errors import NumericalError
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, tsallis_coeffs
 from entrogup.maxent import (
@@ -594,6 +594,128 @@ def test_table_start_keeps_the_cold_start_roots(xs):
         assert np.all(np.abs(u - u_cold) <= 8.0 * np.finfo(float).eps * np.maximum(u_cold, 1.0))
         assert np.array_equal(p == 0.0, np.exp(-u_cold) == 0.0)
         assert residual.max() <= 1e-12
+
+
+@given(st.lists(SOLVER_X | TABLE_X, min_size=1, max_size=50))
+@example([2.747530357385009])
+@settings(max_examples=100, deadline=None)
+def test_float_route_keeps_the_array_route_roots(xs):
+    # the float route starts every point from u = x, the array route from
+    # the start table; both stop within the root's rounding interval
+    x = np.array(xs)
+    for s in (1, -1):
+        u = maxent._newton(x, s, maxent._start(x, s))
+        u_float = np.array([maxent._root(v, s) for v in xs])
+        assert np.all(np.abs(u_float - u) <= 8.0 * np.finfo(float).eps * np.maximum(u, 1.0))
+        p, residual = maxent._float_roots(xs, s)
+        assert np.array_equal(np.array(p) == 0.0, maxent._roots(x, s)[0] == 0.0)
+        assert max(residual) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_float_route_stops_within_six_rounds(monkeypatch, s):
+    # from the Gibbs guess u = x, over the whole double range
+    xs = [0.0, 5e-324, 1e-300, 1e-14, 1e-8, 1e-3, 0.0918, 0.5, 1.3, 2.7475, 5.0, 36.5,
+          745.0, 800.0, 1e100, 1.7e308]
+    calls = []
+    g = maxent._g
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return g(*args, **kwargs)
+
+    monkeypatch.setattr(maxent, "_g", counted)
+    for x in xs:
+        calls.clear()
+        maxent._root(x, s)
+        assert len(calls) <= 6, x
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_float_route_names_the_worst_residual(monkeypatch, s):
+    # as _roots does: the largest residual of the input, not the first one
+    xs = np.linspace(0.0, 3.0, 61).tolist()
+    _, residual = maxent._float_roots(xs, s)
+    worst = xs[int(np.argmax(residual))]
+    monkeypatch.setattr(maxent, "_RESIDUAL_BOUND", 0.0)
+    with pytest.raises(NumericalError, match=rf"root at x = {worst:g} has residual"):
+        maxent._float_roots(xs, s)
+
+
+def test_scalar_solvers_take_the_float_route(monkeypatch):
+    # no array is built for one Python float
+    def refuse(*args):
+        raise AssertionError("the array route ran")
+
+    monkeypatch.setattr(maxent, "_roots", refuse)
+    assert solve_p_plus(1.0) == maxent.MaxEntSolution(1.0, *(v[0] for v in maxent._float_roots([1.0], 1)))
+    assert solve_p_minus(0.5).p < 0.9
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_float_route_fit_matches_lstsq(kind, degree):
+    # Householder QR against np.linalg.lstsq and the exact least-squares
+    # solution (normal equations in 80 digits) on the same roots; the
+    # design's condition number is at most ~9e3 here.  Each solver is up to
+    # ~1.5e-12 off the exact minus a6 (0.0168), the smallest coefficient.
+    xs = np.linspace(0.0, 1.0, 31)
+    probs, _ = maxent._float_roots(xs.tolist(), maxent._SIGN[kind])
+    weight = np.exp(-xs)
+    design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
+    rhs = np.array(probs) - weight
+    expected = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    fitted = np.array(fit_gen_exp(kind, degree, xs.tolist()).coeffs.a[1:])
+    assert np.all(np.abs(fitted - expected) <= 1e-12 * np.abs(expected).max())
+    with mpmath.workdps(80):
+        a = mpmath.matrix(design.tolist())
+        exact = mpmath.lu_solve(a.T * a, a.T * mpmath.matrix(rhs.tolist()))
+        exact = np.array([float(v) for v in exact])
+    assert np.all(np.abs(fitted - exact) <= 2e-12 * np.abs(exact))
+
+
+@pytest.mark.parametrize(
+    "window, degree",
+    [((0.0, 1.0), 4), ((0.0, 745.0), 2), ((0.0, 745.0), 3), ((0.0, 745.0), 4),
+     ((1e-8, 1e-3), 4), ((1e-8, 1e-3), 5), ((300.0, 400.0), 3), ((300.0, 400.0), 5),
+     ((5.0, 5.001), 3), ((5.0, 5.001), 4)],
+)
+@pytest.mark.parametrize("s", [1, -1])
+def test_fit_routes_agree_on_the_rank(window, degree, s):
+    # lstsq counts the design rank deficient where its smallest singular
+    # value is at most eps * rows times its largest; the float route tests
+    # R's singular values the same way, on the same points
+    xs = np.linspace(*window, 64)
+
+    def outcome(fit, grid):
+        try:
+            return fit(s, degree, grid)[0]
+        except NumericalError as exc:
+            return str(exc)
+
+    floats = outcome(maxent._fit_floats, xs.tolist())
+    arrays = outcome(maxent._fit_arrays, xs)
+    assert type(floats) is type(arrays)
+    if isinstance(floats, str):
+        assert floats == arrays == "the fit design matrix is rank deficient on this grid"
+
+
+def test_fit_with_a_zero_column_is_rank_deficient_on_both_routes():
+    # x**2 exp(-x) underflows to 0 at every point: a zero column
+    grid = [0.0, 5e-324, 1e-323]
+    with pytest.raises(NumericalError, match="rank deficient"):
+        fit_gen_exp("plus", 2, grid)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        fit_gen_exp("plus", 2, grid + [0.0] * (entropy._FLOAT_ROUTE_MAX - 2))
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "boltzmann"])
+def test_distribution_routes_agree(kind):
+    # the same 64 levels through both routes; exp may differ by an ulp
+    energies = spectrum_x(31, 64, 50.0).tolist()
+    floats, _, _ = maxent._distribution_floats(energies, 0.8, kind)
+    _, arrays, _, _ = maxent._distribution_arrays(energies, 0.8, kind)
+    assert floats == pytest.approx(arrays.tolist(), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [1, -1])

@@ -188,6 +188,31 @@ def test_entropy_loads_numpy_only_above_the_float_route(argv, numpy, tmp_path):
     assert any(name.split(".")[0] == "numpy" for name in loaded) is numpy
 
 
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        (("maxent",), False),
+        (("maxent", "--energies", "0,1,2"), False),
+        (("maxent", "--grid", f"0:3:{_FLOAT_ROUTE_MAX}"), False),
+        (("maxent", "--grid", f"0:3:{_FLOAT_ROUTE_MAX + 1}"), True),
+        (("fit", "--grid", f"0:1:{_FLOAT_ROUTE_MAX}", "--coeffs", "c.txt"), False),
+        (("fit", "--coeffs", "c.txt"), True),  # the default 301-point window
+    ],
+    ids=["maxent", "maxent-energies", "maxent-grid-N", "maxent-grid-N+1", "fit-grid-N", "fit"],
+)
+def test_maxent_and_fit_load_numpy_only_above_the_float_route(argv, numpy, tmp_path):
+    # up to _FLOAT_ROUTE_MAX points the roots and the fit are Python floats
+    loaded = cold_call_modules(argv, tmp_path)
+    assert "entrogup.maxent" in loaded
+    assert any(name.split(".")[0] == "numpy" for name in loaded) is numpy
+
+
+def test_scalar_solver_loads_no_numpy(tmp_path):
+    code = ("import sys; from entrogup.maxent import solve_p_plus; solve_p_plus(1.0); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    assert python(["-c", code], tmp_path).stdout == "[]\n"
+
+
 def test_package_namespace_loads_on_first_use(tmp_path):
     out = json.loads(python(["-c", LAZY_PROBE], tmp_path).stdout)
     # the bare import loads NumericalError and nothing else of the package
