@@ -114,6 +114,18 @@ def test_probvector_input_containers(container):
         assert (pv._array is None) == (n <= N)
 
 
+def test_probvector_takes_numpy_floats_on_the_float_route():
+    # numpy's float64 is a float, converted with float() as a Python float is
+    for n in (2, N, N + 1):
+        probs = gibbs_like(n)
+        pv = ProbVector(list(np.array(probs)))
+        assert type(pv.probs) is tuple and all(type(p) is float for p in pv.probs)
+        assert pv.probs == probs
+        assert (pv._array is None) == (n <= N)
+        for fn in (shannon, s_plus, s_minus):
+            assert fn(pv).hex() == fn(ProbVector(probs)).hex()
+
+
 def test_probvector_keeps_its_own_copy():
     source = np.array([0.25, 0.75])
     pv = ProbVector(source)
@@ -555,7 +567,7 @@ def test_fsum_kernel_equals_math_fsum_on_seeded_arrays(seed, n, shape):
         [1e308, 1e308, -1e308],
         [1e308, -1e308, 1e308],
         [1e300] * 3000,
-        [2.0**967] * 500,  # the largest binade the kernel sums for 500 values
+        [2.0**967] * 500,  # a sum of ~2**976, still summed in numpy
         [2.0**967] * 600 + [-(2.0**967)] * 600,
     ],
 )
@@ -579,3 +591,100 @@ def test_fsum_kernel_in_chunks(values, chunk):
     with mock.patch.object(entropy, "_FSUM_MAX", chunk):
         assert_fsum_matches(values)
         assert_fsum_matches(1.0 / (1.0 + np.abs(values)))
+
+
+def fsum_fallback(values):
+    """``_fsum``'s outcome, and whether it passed the list to ``math.fsum``."""
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as spy:
+        outcome = fsum_outcome(entropy._fsum, values)
+    return outcome, any(isinstance(call.args[0], list) for call in spy.call_args_list)
+
+
+def assert_fsum_fallback(values, falls_back=True):
+    reference = fsum_outcome(lambda v: math.fsum(v.tolist()), values)
+    assert fsum_fallback(values) == (reference, falls_back)
+
+
+@pytest.mark.parametrize("n", [3, 4, 100, 1000, 4000])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fsum_kernel_near_ties_go_to_math_fsum(n, sign):
+    # 1 + 2**-53 lies halfway between two doubles, and 2**-105 decides the
+    # rounding; the filler cancels exactly, in pairs, whatever the order
+    filler = np.random.default_rng(n).random((n - 3) // 2) * 2.0**-20
+    values = np.concatenate([[1.0, 2.0**-53, sign * 2.0**-105], filler, -filler])
+    if n % 2 == 0:
+        values = np.append(values, 0.0)
+    np.random.default_rng(n + 1).shuffle(values)
+    assert_fsum_fallback(values)
+
+
+@pytest.mark.parametrize("n", [2, 50, 2000])
+def test_fsum_kernel_cancelling_sums_go_to_math_fsum(n):
+    weights = np.random.default_rng(n).random(n)
+    # a sum far below the bound on the low parts' rounding error, and an
+    # exact sum of 0, whose sign math.fsum decides
+    for values in (np.concatenate([weights, [1e-300], -weights]),
+                   np.concatenate([weights, -weights]),
+                   np.concatenate([-weights, weights, [-0.0]])):
+        assert_fsum_fallback(values)
+
+
+@pytest.mark.parametrize("values", [[1.0, -1.0], [5e-324, -5e-324], [-1e-310, 1e-310, -0.0]])
+def test_fsum_kernel_exact_zero_goes_to_math_fsum(values):
+    assert_fsum_fallback(np.array(values))
+
+
+def test_fsum_kernel_seldom_goes_to_math_fsum_on_spectra():
+    # Gibbs weights and p ln p terms of 500-4000 levels, as a spectrum builds
+    fallbacks = 0
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.0, 700.0 * rng.random(), int(rng.integers(500, 4001))))
+        weights = np.exp(-x) / math.fsum(np.exp(-x).tolist())
+        for values in (weights, weights * np.log(weights)):
+            reference = math.fsum(values.tolist()).hex()
+            outcome, fell_back = fsum_fallback(values)
+            assert outcome == reference
+            fallbacks += fell_back
+    assert fallbacks <= 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 4000])
+def test_fsum_kernel_guard_at_the_largest_value(n):
+    # sigma = 2**(e + n.bit_length() + 1) for max|v| < 2**e must stay finite:
+    # the largest max|v| below the guard is summed in numpy, the next double
+    # goes to math.fsum.  The rest, finer by 2**20 and negative, keeps the
+    # sum in big's binade and away from a tie between two doubles.
+    top = 1023 - n.bit_length() - 1
+    rest = -np.random.default_rng(n).random(n - 1) * 2.0**-20
+    for big, falls_back in ((np.nextafter(2.0**top, 0.0), False), (2.0**top, True)):
+        values = np.concatenate([[big], rest * big])
+        assert_fsum_fallback(values, falls_back)
+        assert_fsum_fallback(-values, falls_back)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 4000])
+def test_fsum_kernel_all_subnormal(n):
+    # the bound on the low parts' error underflows to 0, and the sum is exact
+    rng = np.random.default_rng(n)
+    values = rng.integers(1, 1 << 52, n, dtype=np.int64).view(np.float64)
+    values = values * rng.choice([-1.0, 1.0], n)
+    assert math.ldexp(n * n, math.frexp(np.abs(values).max())[1] + n.bit_length() - 104) == 0.0
+    total = math.fsum(values.tolist())
+    assert_fsum_fallback(values, total == 0.0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 5e-324],
+        [-0.0, -5e-324],
+        [-0.0, -0.0, -5e-324, 5e-324],
+        [0.0, -5e-324, -0.0, 5e-324],
+        [-0.0] * 100 + [2.2250738585072e-308],
+        [-2.2250738585072014e-308, -0.0, 4.9e-324, 0.0] * 50,
+        [-0.0, 1e-320, -1e-320, -0.0, 3e-323],
+    ],
+)
+def test_fsum_kernel_signed_zeros_and_subnormals(values):
+    assert_fsum_matches(np.array(values))

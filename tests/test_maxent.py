@@ -652,6 +652,39 @@ def test_scalar_solvers_take_the_float_route(monkeypatch):
     assert solve_p_minus(0.5).p < 0.9
 
 
+def test_numpy_floats_take_the_float_route(monkeypatch):
+    # numpy's float64 is a float: converted with float(), with the bits of
+    # the Python-float call, and no array is built
+    def refuse(*args):
+        raise AssertionError("the array route ran")
+
+    xs = np.linspace(0.0, 3.0, 31)
+    energies = np.sort(np.random.default_rng(7).uniform(0.0, 8.0, 64))
+    expected = {
+        "roots": [solve(x) for solve in (solve_p_plus, solve_p_minus)
+                  for x in (0.0, 1e-8, 1.3, 36.5, 745.0)],
+        "fits": [fit_gen_exp(kind, 4, xs.tolist()) for kind in ("plus", "minus")],
+        "dists": [maxent_distribution(energies.tolist(), 1.5, kind)
+                  for kind in ("plus", "minus", "boltzmann")],
+    }
+    monkeypatch.setattr(maxent, "_roots", refuse)
+    monkeypatch.setattr(maxent, "_fit_arrays", refuse)
+    monkeypatch.setattr(maxent, "_distribution_arrays", refuse)
+    roots = [solve(np.float64(x)) for solve in (solve_p_plus, solve_p_minus)
+             for x in (0.0, 1e-8, 1.3, 36.5, 745.0)]
+    fits = [fit_gen_exp(kind, 4, list(xs)) for kind in ("plus", "minus")]
+    dists = [maxent_distribution(list(energies), 1.5, kind)
+             for kind in ("plus", "minus", "boltzmann")]
+    for got, want in zip(roots, expected["roots"]):
+        assert (got.p.hex(), got.residual.hex()) == (want.p.hex(), want.residual.hex())
+    for got, want in zip(fits, expected["fits"]):
+        assert [a.hex() for a in got.coeffs.a] == [a.hex() for a in want.coeffs.a]
+        assert (got.residual.hex(), got.grid) == (want.residual.hex(), want.grid)
+    for got, want in zip(dists, expected["dists"]):
+        assert [p.hex() for p in got.probs] == [p.hex() for p in want.probs]
+        assert got._array is None
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_float_route_fit_matches_lstsq(kind, degree):
