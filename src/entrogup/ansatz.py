@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+
+from ._value import Value
 
 __all__ = [
     "AnsatzCoeffs",
@@ -28,42 +29,41 @@ __all__ = [
 _KINDS = ("plus", "minus", "tsallis", "custom")
 
 
-@dataclass(frozen=True)
-class AnsatzCoeffs:
+class AnsatzCoeffs(Value):
     """Coefficients ``a_0..a_J`` of the generalized exponential, ``a_0 = 1``."""
 
-    a: tuple[float, ...]
-    kind: str = "custom"
-    q: float | None = None
+    _fields = ("a", "kind", "q")
 
-    def __post_init__(self) -> None:
-        a = tuple(float(v) for v in self.a)
+    def __init__(
+        self, a: tuple[float, ...], kind: str = "custom", q: float | None = None
+    ) -> None:
+        a = tuple(float(v) for v in a)
         if not a:
             raise ValueError("need at least the constant coefficient a0")
         if a[0] != 1.0:
             raise ValueError(f"a0 is pinned to 1, got {a[0]!r}")
         if not all(math.isfinite(v) for v in a):
             raise ValueError("coefficients must be finite")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if (self.kind == "tsallis") != (self.q is not None):
+        if kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if (kind == "tsallis") != (q is not None):
             raise ValueError("q is set exactly when kind is 'tsallis'")
-        if self.q is not None and not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q!r}")
-        object.__setattr__(self, "a", a)
+        if q is not None and not math.isfinite(q):
+            raise ValueError(f"q must be finite, got {q!r}")
+        vars(self).update(a=a, kind=kind, q=q)
 
     @property
     def degree(self) -> int:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class GenExpFit:
+class GenExpFit(Value):
     """A fitted coefficient set with its RMS residual and grid descriptor."""
 
-    coeffs: AnsatzCoeffs
-    residual: float
-    grid: str
+    _fields = ("coeffs", "residual", "grid")
+
+    def __init__(self, coeffs: AnsatzCoeffs, residual: float, grid: str) -> None:
+        vars(self).update(coeffs=coeffs, residual=residual, grid=grid)
 
 
 # Reference coefficient sets for the two deformed statistics (plus kind bends

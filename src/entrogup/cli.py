@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
+from ._value import Record
 from .errors import NumericalError
 
 __all__ = ["main", "main_entry"]
@@ -33,18 +33,26 @@ _MAX_GRID_COUNT = 1 << 20
 # report model and renderers
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Ordered records and an optional table.
 
     With a table, the records are its footer and follow it; without one, they
-    are the whole report.
+    are the whole report.  A list left out starts empty, a new one per report.
     """
 
-    command: str
-    records: list[tuple[str, object]] = field(default_factory=list)
-    columns: list[str] = field(default_factory=list)
-    rows: list[list[object]] = field(default_factory=list)
+    _fields = ("command", "records", "columns", "rows")
+
+    def __init__(
+        self,
+        command: str,
+        records: list[tuple[str, object]] | None = None,
+        columns: list[str] | None = None,
+        rows: list[list[object]] | None = None,
+    ) -> None:
+        self.command = command
+        self.records = [] if records is None else records
+        self.columns = [] if columns is None else columns
+        self.rows = [] if rows is None else rows
 
     def add(self, key: str, value: object) -> None:
         self.records.append((key, value))

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from ._value import Value
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -145,20 +146,25 @@ def _integer(value: int, name: str) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ProbVector:
+class ProbVector(Value):
     """A finite probability distribution with every entry in (0, 1].
 
     ``probs`` is a tuple of Python floats, so equality and hashing compare
     values.  Above ``_FLOAT_ROUTE_MAX`` states the entries are also held as
-    one read-only 1-D float64 array, which the entropies below evaluate
-    elementwise; up to it there is no array.  The input may be a tuple, a
-    list or a 1-D array.
+    one read-only 1-D float64 array, ``_array``, which the entropies below
+    evaluate elementwise and which stays out of repr, equality and hashing;
+    up to it there is no array (``_array`` is None).  The input may be a
+    tuple, a list or a 1-D array.
     """
 
-    probs: tuple[float, ...]
-    _array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("probs",)
 
+    def __init__(self, probs: tuple[float, ...]) -> None:
+        vars(self)["probs"] = probs
+        self.__post_init__()
+
+    # The validation is a method of its own so that span tracers
+    # (perfbench/spans.py) can wrap it by name.
     def __post_init__(self) -> None:
         values = _small_floats(self.probs)
         array = None
@@ -183,8 +189,7 @@ class ProbVector:
         total = math.fsum(values) if array is None else _fsum(array)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", tuple(values))
-        object.__setattr__(self, "_array", array)
+        vars(self).update(probs=tuple(values), _array=array)
 
     @classmethod
     def uniform(cls, omega: int) -> ProbVector:

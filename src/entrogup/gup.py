@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+
+from ._value import Value
 
 # REFERENCE_* are imported only so that gup.REFERENCE_* resolves.
 from .ansatz import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
@@ -67,54 +68,77 @@ _M_PL_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 _UNIT_RATIO_Z = 2.0**-27
 
 
-@dataclass(frozen=True)
-class GupParams:
-    """Dimensionless deformation ``alpha0`` and the scale ``m_pl`` it divides."""
+class GupParams(Value):
+    """Dimensionless deformation ``alpha0`` and the scale ``m_pl`` it divides.
 
-    alpha0: float
-    m_pl: float = 1.0
-    # alpha0 / m_pl**2, derived once here; not a constructor argument.
-    alpha: float = field(init=False, repr=False, compare=False)
+    ``alpha = alpha0 / m_pl**2`` is derived once here; it is not a
+    constructor argument and stays out of repr, equality and hashing.
+    """
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha0):
-            raise ValueError(f"alpha0 must be finite, got {self.alpha0!r}")
+    _fields = ("alpha0", "m_pl")
+
+    def __init__(self, alpha0: float, m_pl: float = 1.0) -> None:
+        if not math.isfinite(alpha0):
+            raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
         lo, hi = _M_PL_RANGE
-        if not lo <= self.m_pl <= hi:
+        if not lo <= m_pl <= hi:
             raise ValueError(
                 f"m_pl must lie in [{lo:.4g}, {hi:.4g}], where m_pl**2 is a normal "
-                f"float, got {self.m_pl!r}"
+                f"float, got {m_pl!r}"
             )
-        alpha = self.alpha0 / (self.m_pl * self.m_pl)
+        alpha = alpha0 / (m_pl * m_pl)
         if not math.isfinite(alpha):
             raise ValueError(
-                f"alpha = alpha0/m_pl**2 overflows for alpha0 = {self.alpha0!r}, "
-                f"m_pl = {self.m_pl!r}"
+                f"alpha = alpha0/m_pl**2 overflows for alpha0 = {alpha0!r}, "
+                f"m_pl = {m_pl!r}"
             )
-        object.__setattr__(self, "alpha", alpha)
+        vars(self).update(alpha0=alpha0, m_pl=m_pl, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class RegimeSummary:
-    """Which deformation regime applies and its characteristic scale."""
+class RegimeSummary(Value):
+    """Which deformation regime applies and its characteristic scale.
 
-    alpha: float
-    regime: str  # "minimal_length", "max_momentum", or "heisenberg"
-    minimal_length: float | None
-    max_momentum: float | None
+    ``regime`` is "minimal_length", "max_momentum", or "heisenberg".
+    """
+
+    _fields = ("alpha", "regime", "minimal_length", "max_momentum")
+
+    def __init__(
+        self,
+        alpha: float,
+        regime: str,
+        minimal_length: float | None,
+        max_momentum: float | None,
+    ) -> None:
+        vars(self).update(
+            alpha=alpha, regime=regime, minimal_length=minimal_length,
+            max_momentum=max_momentum,
+        )
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Value):
     """Every stage of the coefficient-to-deformation pipeline."""
 
-    coeffs: AnsatzCoeffs
-    hamiltonian: TruncatedSeries
-    momentum: TruncatedSeries
-    momentum_normalized: TruncatedSeries
-    alpha0_pipeline: float
-    alpha0_closed: float
-    discrepancy: float
+    _fields = (
+        "coeffs", "hamiltonian", "momentum", "momentum_normalized",
+        "alpha0_pipeline", "alpha0_closed", "discrepancy",
+    )
+
+    def __init__(
+        self,
+        coeffs: AnsatzCoeffs,
+        hamiltonian: TruncatedSeries,
+        momentum: TruncatedSeries,
+        momentum_normalized: TruncatedSeries,
+        alpha0_pipeline: float,
+        alpha0_closed: float,
+        discrepancy: float,
+    ) -> None:
+        vars(self).update(
+            coeffs=coeffs, hamiltonian=hamiltonian, momentum=momentum,
+            momentum_normalized=momentum_normalized, alpha0_pipeline=alpha0_pipeline,
+            alpha0_closed=alpha0_closed, discrepancy=discrepancy,
+        )
 
 
 def effective_hamiltonian_series(

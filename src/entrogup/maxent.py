@@ -31,8 +31,9 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+from ._value import Value
 
 # The coefficient values and files are numpy-free and live in ansatz; they
 # are re-exported here.
@@ -80,13 +81,13 @@ _ULP4 = 4.0 * sys.float_info.epsilon
 _JACOBI_SWEEPS = 30
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
+class MaxEntSolution(Value):
     """Root of an implicit maximum-entropy equation at a given ``x = beta*E``."""
 
-    x: float
-    p: float
-    residual: float
+    _fields = ("x", "p", "residual")
+
+    def __init__(self, x: float, p: float, residual: float) -> None:
+        vars(self).update(x=x, p=p, residual=residual)
 
 
 def _g(u, x, s: int, m, slope: bool = True):
@@ -349,8 +350,11 @@ def _root_lists(xs, s: int) -> tuple[list[float], list[float]]:
 
 
 def _solution(x: float, s: int) -> MaxEntSolution:
+    # numpy would parse a numeric string on the array route
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"x = beta*E must be a number, got {x!r}")
     (p,), (residual,) = _root_lists([x], s)
-    return MaxEntSolution(x, p, residual)
+    return MaxEntSolution(float(x), p, residual)
 
 
 def solve_p_plus(x: float) -> MaxEntSolution:

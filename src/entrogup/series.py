@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+
+from ._value import Value
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -53,19 +54,24 @@ def _check_order(order: int, lowest: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Coefficients ``c0..cN`` of a power series truncated at order ``N``."""
 
-    coeffs: tuple[float, ...]
+    _fields = ("coeffs",)
 
+    def __init__(self, coeffs: tuple[float, ...]) -> None:
+        vars(self)["coeffs"] = coeffs
+        self.__post_init__()
+
+    # The validation is a method of its own so that span tracers
+    # (perfbench/spans.py) can wrap it by name.
     def __post_init__(self) -> None:
         coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError("series coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        vars(self)["coeffs"] = coeffs
 
     @classmethod
     def constant(cls, value: float, order: int = DEFAULT_ORDER) -> TruncatedSeries:

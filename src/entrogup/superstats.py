@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .errors import NumericalError
 
 __all__ = [
@@ -39,22 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaBetaParams:
+class GammaBetaParams(Value):
     """Spread parameter ``p`` in (0, 1] and mean inverse temperature ``beta0 > 0``.
 
     Equivalent to a Gamma distribution with shape ``1/p`` and scale ``p*beta0``,
     so the mean is ``beta0`` and the variance ``p*beta0**2``.
     """
 
-    p: float
-    beta0: float
+    _fields = ("p", "beta0")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and 0.0 < self.p <= 1.0):
-            raise ValueError(f"spread parameter p must lie in (0, 1], got {self.p!r}")
-        if not (math.isfinite(self.beta0) and self.beta0 > 0.0):
-            raise ValueError(f"beta0 must be positive and finite, got {self.beta0!r}")
+    def __init__(self, p: float, beta0: float) -> None:
+        if not (math.isfinite(p) and 0.0 < p <= 1.0):
+            raise ValueError(f"spread parameter p must lie in (0, 1], got {p!r}")
+        if not (math.isfinite(beta0) and beta0 > 0.0):
+            raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
+        vars(self).update(p=p, beta0=beta0)
 
 
 def _log_norm(p: float) -> float:

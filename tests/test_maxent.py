@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -152,6 +153,20 @@ def test_solver_input_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_p_plus(bad)
+    # a numeric string is refused, not parsed by numpy
+    for solve in (solve_p_plus, solve_p_minus):
+        for bad in ("1.3", b"1.3", np.str_("1.3")):
+            message = f"must be a number, got {re.escape(repr(bad))}"
+            with pytest.raises(ValueError, match=message):
+                solve(bad)
+
+
+def test_solution_keeps_x_as_a_float():
+    for solve in (solve_p_plus, solve_p_minus):
+        for x in (True, 1, np.float64(1.0)):
+            sol = solve(x)
+            assert type(sol.x) is float
+            assert sol == solve(1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=25.0))

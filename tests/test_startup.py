@@ -118,7 +118,7 @@ def test_no_command_loads_numpy_ma(tmp_path):
     assert out == {"codes": [0] * len(argv), "ma": False}
 
 
-COMMAND_MODULES = {"entrogup", "entrogup.cli", "entrogup.errors"}
+COMMAND_MODULES = {"entrogup", "entrogup._value", "entrogup.cli", "entrogup.errors"}
 ENTROPY_MODULES = COMMAND_MODULES | {"entrogup.entropy"}
 MAXENT_MODULES = ENTROPY_MODULES | {"entrogup.ansatz", "entrogup.maxent"}
 # no maxent or entropy: derive and gup need only the numpy-free ansatz module
@@ -205,6 +205,28 @@ def test_maxent_and_fit_load_numpy_only_above_the_float_route(argv, numpy, tmp_p
     loaded = cold_call_modules(argv, tmp_path)
     assert "entrogup.maxent" in loaded
     assert any(name.split(".")[0] == "numpy" for name in loaded) is numpy
+
+
+@pytest.mark.parametrize(
+    "argv, inspect",
+    [
+        (("boltzmann",), True),
+        (("entropy",), False),
+        (("maxent",), False),
+        (("fit", "--grid", "0:1:41", "--coeffs", "c.txt"), False),
+        (("fit", "--coeffs", "c.txt"), True),  # 301 points: numpy
+        (("derive",), False),
+        (("gup", "--alpha0", "0.36"), False),
+    ],
+    ids=["boltzmann", "entropy", "maxent", "fit-grid-41", "fit", "derive", "gup"],
+)
+def test_no_command_loads_dataclasses(argv, inspect, tmp_path):
+    # the value types are plain classes; dataclasses would import inspect
+    # (~15 ms cold), which only numpy's own import still pulls in
+    loaded = cold_call_modules(argv, tmp_path)
+    assert "entrogup.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert ("inspect" in loaded) is inspect
 
 
 def test_scalar_solver_loads_no_numpy(tmp_path):
