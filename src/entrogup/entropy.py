@@ -191,6 +191,10 @@ class ProbVector(Value):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         vars(self).update(probs=tuple(values), _array=array)
 
+    # Rebuilt from ``probs``: numpy's unpickling would return a writeable array.
+    def __reduce__(self):
+        return type(self), (self.probs,)
+
     @classmethod
     def uniform(cls, omega: int) -> ProbVector:
         """Equal probabilities over ``omega`` states; ``omega`` is an integer

@@ -350,11 +350,13 @@ def _root_lists(xs, s: int) -> tuple[list[float], list[float]]:
 
 
 def _solution(x: float, s: int) -> MaxEntSolution:
-    # numpy would parse a numeric string on the array route
-    if isinstance(x, (str, bytes)):
+    # float() would parse a numeric string
+    if isinstance(x, (str, bytes, bytearray)):
         raise ValueError(f"x = beta*E must be a number, got {x!r}")
+    # a Python float takes the float route whatever x was (a 0-d array too)
+    x = float(x)
     (p,), (residual,) = _root_lists([x], s)
-    return MaxEntSolution(float(x), p, residual)
+    return MaxEntSolution(x, p, residual)
 
 
 def solve_p_plus(x: float) -> MaxEntSolution:

@@ -7,12 +7,14 @@ averaged weight factor in closed form, the same average by adaptive quadrature
 (an independent cross-check route), and its small-spread expansion.
 
 The quadrature is the module's own ``quad``: QUADPACK's 21-point
-Gauss-Kronrod rule in numpy, applied adaptively.  Its first panels narrow
-geometrically toward a lower limit of 0, where ``t**(1/p - 1)`` is not smooth;
-each round evaluates the integrand once on every open panel (21 nodes each)
-and bisects the panels whose error estimate is above both their share of the
-requested relative error and its rounding floor.  ``boltzmann_quadrature``
-makes one ``quad`` call per point, over ``[0, T]``.  Divided by the value, its
+Gauss-Kronrod rule in numpy, applied adaptively.  Its 33 initial panels
+halve in width from ``[T/2, T]`` down to ``[0, 2**-32 T]``, toward a lower
+limit of 0, where ``t**(1/p - 1)`` is not smooth; each round evaluates the
+integrand once on every open panel (21 nodes each) and bisects the panels
+whose error estimate is above both their share of the requested relative
+error and its rounding floor.  On the benchmark's mix of cross-check points
+about 9 in 10 settle in the first round.  ``boltzmann_quadrature`` makes one
+``quad`` call per point, over ``[0, T]``.  Divided by the value, its
 integrand is a Gamma density, so ``T`` is a closed form from the Chernoff
 bound on that density's tail, with no search.  A value below the smallest
 normal float is refused.  The density and the integrand share one
@@ -184,9 +186,11 @@ _RULES = np.stack((_MEAN, 200.0 * (_MEAN - 0.5 * _GAUSS)), axis=1)
 # Weights of QUADPACK's rounding floor on the error, 50 eps times |f|'s mean.
 _FLOOR = 50.0 * float(np.finfo(float).eps) * _MEAN
 
-# Initial panels of [0, b], in units of b: [0, 4**-16], [4**-16, 4**-15],
-# ..., [1/4, 1], narrowing toward 0, where t**(1/p - 1) is not smooth.
-_GRADED = np.concatenate(([0.0], 0.25 ** np.arange(16, -1, -1)))
+# Initial panels of [0, b], in units of b: [0, 2**-32], [2**-32, 2**-31],
+# ..., [1/2, 1], narrowing toward 0, where t**(1/p - 1) is not smooth.  All
+# but the first span a factor of 2 in t, so that most integrands settle in
+# the first round.
+_GRADED = np.concatenate(([0.0], 0.5 ** np.arange(32, -1, -1)))
 # Work limits of ``quad``; past them it returns its current error estimate.
 _MAX_ROUNDS = 60
 _MAX_PANELS = 2000

@@ -233,6 +233,34 @@ def test_quadrature_tail_takes_at_most_two_pieces(p, energy, tol, monkeypatch):
     assert value == pytest.approx(closed, rel=tol)
 
 
+def test_most_points_settle_in_one_round(monkeypatch):
+    # a seeded mix like the benchmark's cross-check points: ~88% settle in the
+    # first round, and the slowest (p near 1 at tol 1e-10) take 4
+    rng = np.random.default_rng(31)
+    n = 600
+    ps = np.exp(math.log(0.02) * rng.random(n)).tolist()
+    energies = (20.0 * rng.random(n)).tolist()
+    tols = rng.choice([1e-6, 1e-8, 1e-10], n).tolist()
+    calls = []
+    qk21 = superstats._qk21
+
+    def counted(*args):
+        calls.append(args)
+        return qk21(*args)
+
+    monkeypatch.setattr(superstats, "_qk21", counted)
+    rounds = []
+    for p, energy, tol in zip(ps, energies, tols):
+        params = GammaBetaParams(p, 1.0)
+        calls.clear()
+        value = boltzmann_quadrature(params, energy, tol=tol)
+        rounds.append(len(calls))
+        closed = boltzmann_closed(params, energy)
+        assert abs(value - closed) <= tol * closed
+    assert rounds.count(1) >= 0.85 * n
+    assert max(rounds) <= 4
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("energy", [0.0, 0.5, 20.0])

@@ -188,9 +188,11 @@ def test_fields_outside_equality():
     assert "alpha=" not in repr(params)
     with pytest.raises(TypeError):
         GupParams(alpha0=0.36, alpha=0.36)
-    # the derived fields survive copying and pickling
+    # the derived fields survive copying and pickling, and the array stays
+    # read-only (numpy's own unpickling returns a writeable one)
     assert copy.copy(params).alpha == pickle.loads(pickle.dumps(params)).alpha == 0.09
-    assert (pickle.loads(pickle.dumps(values))._array == values._array).all()
+    twin = pickle.loads(pickle.dumps(values))
+    assert (twin._array == values._array).all() and not twin._array.flags.writeable
 
 
 def test_defaults():
