@@ -85,15 +85,20 @@ def _fsum(values: np.ndarray) -> float:
     ``tau = sum(q)`` is exact in any order; ``s = sum(r)`` is off by less
     than ``B = 2 n**2 u**2 sigma``.  The exact sum lies in ``tau + s +- B``,
     and a correctly rounded sum is monotone, so where ``math.fsum`` rounds
-    both ends to one nonzero float, that float is the answer.  Otherwise
+    both ends to one nonzero float, that float is the answer.  Where ``B``
+    leaves that open, the recursive-summation bound ``B' = gamma_(n-1)
+    sum(|r|)``, ``gamma_k = k u / (1 - k u)``, which holds for any order of
+    the additions (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 4.2), is tried the same way from a computed and rounded
+    up ``sum(|r|)``; it costs one more numpy sum, and only then.  Otherwise
     (a near-tie, or an exact sum of 0, whose sign ``math.fsum`` decides) the
     list goes to ``math.fsum``, as do empty and all-zero arrays, non-finite
     values, values too large for a finite ``sigma`` and arrays of more than
     ``_FSUM_MAX`` values, whose result or exception is then ``math.fsum``'s.
-    An array goes there with a chance of about ``2B`` over the result's ulp:
-    none of the 210,000 sums of 10,000 spectrum benchmark operations on each
-    of three seeds did, nor did any of 40,000 seeded Gibbs and ``p ln p``
-    arrays of 500-4000 values.
+    An array goes there with a chance of about ``2B'`` over the result's
+    ulp: none of the 210,000 sums of 10,000 spectrum benchmark operations on
+    each of three seeds did, nor did any of 40,000 seeded Gibbs and
+    ``p ln p`` arrays of 500-4000 values.
     """
     import numpy as np
 
@@ -107,14 +112,29 @@ def _fsum(values: np.ndarray) -> float:
                 high = values + sigma
                 high -= sigma
                 tau = high.sum()
-                s = (values - high).sum()
+                low = values - high
+                s = low.sum()
                 # B is exact, or rounds in the subnormal range to no less than
                 # the error, a multiple of the least subnormal
-                bound = math.ldexp(n * n, scale - 105)
-                total = math.fsum((tau, s, bound))
-                if total == math.fsum((tau, s, -bound)) and total != 0.0:
+                total = _settled(tau, s, math.ldexp(n * n, scale - 105))
+                if total is None:
+                    # 2 n u A for the computed A = sum(|r|) bounds B' (see
+                    # the docstring) with room for A's own error and the
+                    # rounding of n A; in the subnormal range it rounds as B
+                    total = _settled(tau, s, math.ldexp(float(np.abs(low).sum()) * n, -52))
+                if total is not None:
                     return total
     return math.fsum(values.tolist())
+
+
+def _settled(tau: float, s: float, bound: float) -> float | None:
+    """The correctly rounded value of a sum known to lie within ``bound`` of
+    ``tau + s``, if both ends of that interval round to one nonzero float,
+    else None."""
+    total = math.fsum((tau, s, bound))
+    if total == math.fsum((tau, s, -bound)) and total != 0.0:
+        return total
+    return None
 
 
 def _small_floats(probs) -> list[float] | None:

@@ -9,19 +9,22 @@ implicit equation linking a state's probability ``p`` to ``x = beta * E``:
 
 Both reduce to the Gibbs weight ``p = exp(-x)`` as dominant behavior.  One
 safeguarded Newton iteration finds the roots of both, in ``u = -ln p`` (see
-:func:`_roots`): every finite ``x >= 0`` has a root, and ``p = exp(-u)`` stays
-representable up to ``x`` of about 745.  The solutions can be compressed into
-a generalized exponential ``exp(-x) * sum_j a_j x**j`` with ``a_0 = 1``;
-:func:`fit_gen_exp` performs that least-squares compression over an ``x`` grid.
+:func:`_newton`): every finite ``x >= 0`` has a root, and ``p = exp(-u)``
+stays representable up to ``x`` of about 745.  The solutions can be
+compressed into a generalized exponential ``exp(-x) * sum_j a_j x**j`` with
+``a_0 = 1``; :func:`fit_gen_exp` performs that least-squares compression over
+an ``x`` grid.
 
 An input takes one of ``entropy``'s two routes, chosen by
 ``entropy._small_floats``: up to ``entropy._FLOAT_ROUTE_MAX`` points, Python
 floats, one :func:`_root` per point and, for the fit, a Householder QR
 (:func:`_lstsq`), so that cold ``maxent`` and ``fit`` calls on such inputs run
 without numpy; above it, float64 arrays, :func:`_roots` and
-``np.linalg.lstsq``.  numpy is imported only on the array route.  The two
-routes stop on the same rule but from different starts, so a root may differ
-in its last bits between them.
+``np.linalg.lstsq``.  numpy is imported only on the array route.  The float
+route runs the iteration from the Gibbs guess; the array route takes one
+Newton step from a start table and certifies it, and runs the iteration only
+where that fails.  Both stop within a few ulps of the root, but a root may
+differ in its last bits between them.
 """
 
 from __future__ import annotations
@@ -76,6 +79,17 @@ _RESIDUAL_BOUND = 1e-12
 
 # The stop rule's width, in units of max(u, 1), on both routes; see _newton.
 _ULP4 = 4.0 * sys.float_info.epsilon
+
+# The largest first Newton step, in units of max(u, 1), after which _roots
+# may accept the new iterate.  The start table is at most 7.8e-11 off the root
+# in relative terms (plus kind, x = 1/512), about 1e-4 of this guard, so a
+# sound start passes it with room to spare (the largest step measured is 3e-6
+# of it).  A step below it moves u so little that g' at the start still gives
+# g' at the new iterate to a relative 2**-20 |g''/g'| max(u, 1), which is
+# small, so g there over the start's slope is the next Newton step, the
+# look-ahead that _roots tests; a point whose start was far off falls back
+# to _newton.
+_GUARD = 2.0**-20
 
 # Most sweeps of _singular_values; a handful settle the fit's small R.
 _JACOBI_SWEEPS = 30
@@ -150,8 +164,10 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     The ratios come from the solver's own loop, started from the cold guess
     ``u = x``.  Their slopes ``r' = (u' - r) / x`` follow from the implicit
     function theorem, ``u' = -g_x / g_u`` with ``g_x = 1 + s (p - p u)``; the
-    node at 0 takes the exact limits of ``_ORIGIN``.  A table with a
-    non-finite entry is refused.  Each kind's table is built on its first
+    node at 0 takes the exact limits of ``_ORIGIN``.  The interpolant is at
+    most 7.8e-11 off the root in relative terms, which is what lets one
+    Newton step from it certify the root (see :func:`_roots`).  A table with
+    a non-finite entry is refused.  Each kind's table is built on its first
     call and cached; a build that raises leaves nothing cached.
     """
     import numpy as np
@@ -186,10 +202,11 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _start(x: np.ndarray, s: int) -> np.ndarray:
-    """Starting iterate ``u = x r_s(x)`` for :func:`_newton`, with ``r_s`` the
-    cubic Hermite interpolant of the kind's start table and ``x`` clamped to
-    the table end, where ``r_s`` is 1: past the table end the start is the
-    Gibbs guess ``x``; see :func:`_table`.
+    """Starting iterate ``u = x r_s(x)`` of :func:`_roots`' Newton step (and of
+    :func:`_newton` where that step fails), with ``r_s`` the cubic Hermite
+    interpolant of the kind's start table and ``x`` clamped to the table end,
+    where ``r_s`` is 1: past the table end the start is the Gibbs guess
+    ``x``; see :func:`_table`.
     """
     import numpy as np
 
@@ -211,7 +228,20 @@ def _start(x: np.ndarray, s: int) -> np.ndarray:
 
 def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
     """Refine the iterate ``u`` (overwritten) to the roots ``u = -ln p`` at every
-    ``x``; see :func:`_roots`."""
+    ``x`` of a 1-D array.
+
+    Newton's method safeguarded by bisection on the bracket ``[0, 2x + 2]``
+    (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes sign from
+    positive to negative; the minus lower end excludes the root ``p = 1``
+    that the minus equation has at every ``x``.  The start is clipped into
+    the bracket.  A point stops when its step or its bracket is below
+    ``_ULP4 * max(u, 1)``, not on the residual: near ``p = 1`` a whole range
+    of ``p`` has a residual below any useful tolerance.  Its root is stored
+    in the round it stops; stopped points ride along until every point has
+    stopped, and their later iterates are never read, so each root depends
+    only on its own ``x`` and start.  A point left open after 200 rounds
+    raises, naming the first such ``x``.
+    """
     import numpy as np
 
     lo = 0.5 * x if s < 0 else np.zeros_like(x)
@@ -252,19 +282,18 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
     every ``x`` of a 1-D array, with their residuals ``|g|``: the array route.
 
-    Newton's method in ``u = -ln p``, safeguarded by bisection on the bracket
-    ``[0, 2x + 2]`` (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes
-    sign from positive to negative.  The minus lower end excludes the root
-    ``p = 1`` that the minus equation has at every ``x``.  Each point starts
-    from its kind's cached table of ``u / x`` (see :func:`_start`), within
-    1e-10 of the root in relative terms at every ``x``, so Newton stops in
-    two rounds; past the table end the start is the Gibbs guess ``u = x``.
-    The start is clipped into the bracket.  Iteration stops when the step or
-    the bracket is below a few ulps of ``max(u, 1)``, not on the residual:
-    near ``p = 1`` a whole range of ``p`` has a residual below any useful
-    tolerance.  A point's root is stored in the round it stops; stopped points
-    ride along until every point has stopped, and their later iterates are
-    never read.  A residual above ``_RESIDUAL_BOUND`` raises, naming its ``x``.
+    One Newton step in ``u = -ln p`` from the kind's cached start table
+    (see :func:`_start`), within 1e-10 of the root in relative terms, then
+    one pass of ``g`` at the new iterate ``u1``, which gives ``p``, the
+    residual and the test that certifies ``u1``.  A point's root is ``u1``
+    where its step was at most ``_GUARD * max(u1, 1)`` and the next Newton
+    step, ``g(u1)`` over the start's slope, would be below the stop width
+    ``_ULP4 * max(u1, 1)`` of :func:`_newton`.  Every other point, a
+    non-finite step or ``g`` included, runs through :func:`_newton` from its
+    table start, bracket and bisection guard included; those points are
+    gathered into one call and scattered back, so each root depends only on
+    its own ``x``.  A residual above ``_RESIDUAL_BOUND`` raises, naming its
+    ``x``.
     """
     import numpy as np
 
@@ -272,9 +301,21 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
         raise _bad_x(float(x[bad][0]))
-    u_root = _newton(x, s, _start(x, s))
-    g, p = _g(u_root, x, s, np, slope=False)
+    u0 = _start(x, s)
+    g, dg = _g(u0, x, s, np)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = g / dg
+    step[g == 0.0] = 0.0
+    u = u0 - step
+    g, p = _g(u, x, s, np, slope=False)
     residual = np.abs(g)
+    scale = np.maximum(u, 1.0)
+    certified = (np.abs(step) <= _GUARD * scale) & (residual <= _ULP4 * scale * np.abs(dg))
+    if np.count_nonzero(certified) < x.size:
+        redo = np.flatnonzero(~certified)
+        x_redo = x[redo]
+        g_redo, p[redo] = _g(_newton(x_redo, s, u0[redo]), x_redo, s, np, slope=False)
+        residual[redo] = np.abs(g_redo)
     worst = int(np.argmax(residual))
     _check_residual(float(x[worst]), float(residual[worst]))
     return p, residual

@@ -649,7 +649,7 @@ def test_fsum_kernel_seldom_goes_to_math_fsum_on_spectra():
     assert fallbacks <= 3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 500, 4000])
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 4000, 65536])
 def test_fsum_kernel_guard_at_the_largest_value(n):
     # sigma = 2**(e + n.bit_length() + 1) for max|v| < 2**e must stay finite:
     # the largest max|v| below the guard is summed in numpy, the next double

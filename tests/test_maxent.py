@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -523,9 +524,38 @@ def table_start(x, s):
     return np.where(x < maxent._TABLE_END, clamped * (((c3 * f + c2) * f + m0) * f + r0), x)
 
 
-def roots_reference(x, s):
-    u, residual = roots_loop(x, s, table_start(x, s))
-    return np.exp(-u), residual
+def newton_reference(x, s):
+    """roots_loop from the table start: the bits of maxent._newton from there."""
+    u, _ = roots_loop(x, s, table_start(x, s))
+    return u
+
+
+def one_step_reference(x, s, guard=2.0**-20):
+    """The one-step rule of _roots re-derived: one Newton step from the table
+    start, accepted where the step is at most guard * max(u1, 1) and g(u1)
+    over the start's slope is at most 4 eps * max(u1, 1); every other point
+    gets roots_loop's root from the table start.  Returns the roots u and
+    the mask of the accepted points."""
+    x = np.asarray(x, dtype=float)
+    u0 = table_start(x, s)
+    g0, dg0 = g_loop(u0, x, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(g0 == 0.0, 0.0, g0 / dg0)
+    u = u0 - step
+    scale = np.maximum(u, 1.0)
+    ulps = 4.0 * np.finfo(float).eps * scale
+    look_ahead = np.abs(g_loop(u, x, s)[0]) <= ulps * np.abs(dg0)
+    accepted = (np.abs(step) <= guard * scale) & look_ahead
+    if not accepted.all():
+        u[~accepted], _ = roots_loop(x[~accepted], s, u0[~accepted])
+    return u, accepted
+
+
+def assert_roots_are(x, s, u):
+    """_roots gives the roots u = -ln p at x, bit for bit, and their |g|."""
+    p, residual = maxent._roots(x, s)
+    assert np.array_equal(p, np.exp(-u))
+    assert np.array_equal(residual, np.abs(g_loop(u, x, s)[0]))
 
 
 def spectrum_x(seed, n, emax):
@@ -544,14 +574,17 @@ SOLVER_INPUTS = {
 }
 
 
+def newton_from_table(x, s):
+    return maxent._newton(x, s, maxent._start(x, s))
+
+
 @pytest.mark.parametrize("s", [1, -1])
 @pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
 def test_roots_bit_identical_to_full_array_loop(name, s):
+    # _newton, which every point that fails the one-step rule runs, from the
+    # table start
     x = SOLVER_INPUTS[name]
-    p, residual = maxent._roots(x, s)
-    p_ref, residual_ref = roots_reference(x, s)
-    assert np.array_equal(p, p_ref)
-    assert np.array_equal(residual, residual_ref)
+    assert np.array_equal(newton_from_table(x, s), newton_reference(x, s))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=300))
@@ -559,9 +592,7 @@ def test_roots_bit_identical_to_full_array_loop(name, s):
 def test_roots_bit_identical_on_random_points(xs):
     x = np.array(xs)
     for s in (1, -1):
-        p, residual = maxent._roots(x, s)
-        p_ref, residual_ref = roots_reference(x, s)
-        assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
+        assert np.array_equal(newton_from_table(x, s), newton_reference(x, s))
 
 
 # log-uniform over the whole range, so the minus kind's small-x expm1 terms and
@@ -578,9 +609,7 @@ SOLVER_X = (
 def test_roots_bit_identical_on_log_uniform_points(xs):
     x = np.array(xs)
     for s in (1, -1):
-        p, residual = maxent._roots(x, s)
-        p_ref, residual_ref = roots_reference(x, s)
-        assert np.array_equal(p, p_ref) and np.array_equal(residual, residual_ref)
+        assert np.array_equal(newton_from_table(x, s), newton_reference(x, s))
 
 
 # the start table's nodes, its end, the first double past it, and the ends of
@@ -611,6 +640,105 @@ def test_table_start_keeps_the_cold_start_roots(xs):
         assert np.all(np.abs(u - u_cold) <= 8.0 * np.finfo(float).eps * np.maximum(u_cold, 1.0))
         assert np.array_equal(p == 0.0, np.exp(-u_cold) == 0.0)
         assert residual.max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
+def test_roots_take_one_certified_newton_step(name, s):
+    # every point of these inputs passes the one-step rule
+    x = SOLVER_INPUTS[name]
+    u, accepted = one_step_reference(x, s)
+    assert accepted.all()
+    assert_roots_are(x, s, u)
+
+
+@given(st.lists(SOLVER_X | TABLE_X, min_size=1, max_size=300))
+@example([2.747530357385009])
+@settings(max_examples=100, deadline=None)
+def test_roots_follow_the_one_step_rule_on_any_points(xs):
+    # the roots the rule accepts stay within the loop's distance of the
+    # cold-start roots (see test_table_start_keeps_the_cold_start_roots)
+    x = np.array(xs)
+    for s in (1, -1):
+        u, _ = one_step_reference(x, s)
+        assert_roots_are(x, s, u)
+        u_cold, _ = roots_loop(x, s, x)
+        assert np.all(np.abs(u - u_cold) <= 8.0 * np.finfo(float).eps * np.maximum(u_cold, 1.0))
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The x of every _newton call after the start tables are built."""
+    for s in (1, -1):
+        maxent._table(s)
+    calls = []
+    newton = maxent._newton
+
+    def spy(x, s, u):
+        calls.append(x.copy())
+        return newton(x, s, u)
+
+    monkeypatch.setattr(maxent, "_newton", spy)
+    return calls
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_points_that_miss_the_look_ahead_take_the_loop(monkeypatch, newton_calls, s):
+    # The first pass of g after the table start is moved at the chosen x by
+    # 1e-9 max(u, 1) times the slope, so the first step overshoots the root
+    # by that much: well inside the guard, but the look-ahead step at the
+    # new iterate is far above the stop width.  Only the chosen points run
+    # the loop, from the table start; the others keep the one-step bits.
+    x = SOLVER_INPUTS["spectrum"]
+    chosen = x[1::97]
+    first = []
+    start, g = maxent._start, maxent._g
+
+    def flagged_start(x, s):
+        first.append(True)
+        return start(x, s)
+
+    def shifted(u, x, s, m, slope=True):
+        value, dg = g(u, x, s, m, slope)
+        if slope and first:
+            first.clear()
+            value = value + np.where(np.isin(x, chosen), 1e-9 * np.maximum(u, 1.0) * dg, 0.0)
+        return value, dg
+
+    monkeypatch.setattr(maxent, "_start", flagged_start)
+    monkeypatch.setattr(maxent, "_g", shifted)
+    u, accepted = one_step_reference(x, s)
+    assert accepted.all()
+    fallback = np.isin(x, chosen)
+    u[fallback] = newton_reference(x[fallback], s)
+    assert_roots_are(x, s, u)
+    assert len(newton_calls) == 1 and np.array_equal(newton_calls[0], chosen)
+
+
+@pytest.mark.parametrize("guard", [0.0, 2.0**-45])
+@pytest.mark.parametrize("s", [1, -1])
+def test_points_past_the_guard_take_the_loop(monkeypatch, newton_calls, guard, s):
+    # at a guard of 0 every point with a nonzero first step falls back, at
+    # 2**-45 only those whose step is above it
+    x = np.concatenate([SOLVER_INPUTS[name] for name in sorted(SOLVER_INPUTS)])
+    monkeypatch.setattr(maxent, "_GUARD", guard)
+    u, accepted = one_step_reference(x, s, guard)
+    assert 0 < np.count_nonzero(accepted) < x.size
+    assert_roots_are(x, s, u)
+    assert len(newton_calls) == 1 and np.array_equal(newton_calls[0], x[~accepted])
+
+
+@given(st.lists(st.lists(SOLVER_X | TABLE_X, min_size=1, max_size=100), min_size=2, max_size=4))
+@example([SOLVER_INPUTS["fit-default"].tolist(), SOLVER_INPUTS["spectrum-past-floor"].tolist()])
+@settings(max_examples=50, deadline=None)
+def test_roots_of_a_concatenation_are_the_roots_of_its_parts(parts):
+    # with the guard at 2**-45, so that some points of most inputs fall back
+    with mock.patch.object(maxent, "_GUARD", 2.0**-45):
+        for s in (1, -1):
+            p, residual = maxent._roots(np.concatenate(parts), s)
+            roots = [maxent._roots(np.array(part), s) for part in parts]
+            assert np.array_equal(p, np.concatenate([part_p for part_p, _ in roots]))
+            assert np.array_equal(residual, np.concatenate([part_r for _, part_r in roots]))
 
 
 @given(st.lists(SOLVER_X | TABLE_X, min_size=1, max_size=50))
@@ -769,10 +897,12 @@ def test_distribution_routes_agree(kind):
 
 
 @pytest.mark.parametrize("s", [1, -1])
-@pytest.mark.parametrize("name", ["fit-default", "fit-wide", "spectrum", "spectrum-past-floor"])
+@pytest.mark.parametrize("name", sorted(SOLVER_INPUTS))
 def test_roots_stop_in_three_rounds(monkeypatch, name, s):
-    # three passes of g: two Newton rounds and the residual pass.  From u = x
-    # it took six Newton rounds, from a start table linear in u / x three.
+    # two passes of g: the Newton step from the table start, and the pass at
+    # the new iterate that gives p, the residual and the look-ahead test.
+    # The Newton loop took three passes from the same table (two rounds and
+    # a residual pass), six rounds from u = x.
     x = SOLVER_INPUTS[name]
     maxent._roots(x, s)  # the start table is built outside the count
     calls = []
@@ -784,7 +914,7 @@ def test_roots_stop_in_three_rounds(monkeypatch, name, s):
 
     monkeypatch.setattr(maxent, "_g", counted)
     maxent._roots(x, s)
-    assert len(calls) <= 3
+    assert len(calls) == 2
 
 
 # the nodes and the midpoints of the start table, and any x from the first
