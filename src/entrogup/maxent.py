@@ -9,7 +9,7 @@ implicit equation linking a state's probability ``p`` to ``x = beta * E``:
 
 Both reduce to the Gibbs weight ``p = exp(-x)`` as dominant behavior.  One
 safeguarded Newton iteration finds the roots of both, in ``u = -ln p`` (see
-:func:`_newton`): every finite ``x >= 0`` has a root, and ``p = exp(-u)``
+:func:`_root`): every finite ``x >= 0`` has a root, and ``p = exp(-u)``
 stays representable up to ``x`` of about 745.  The solutions can be
 compressed into a generalized exponential ``exp(-x) * sum_j a_j x**j`` with
 ``a_0 = 1``; :func:`fit_gen_exp` performs that least-squares compression over
@@ -22,9 +22,9 @@ floats, one :func:`_root` per point and, for the fit, a Householder QR
 without numpy; above it, float64 arrays, :func:`_roots` and
 ``np.linalg.lstsq``.  numpy is imported only on the array route.  The float
 route runs the iteration from the Gibbs guess; the array route takes one
-Newton step from a start table and certifies it, and runs the iteration only
-where that fails.  Both stop within a few ulps of the root, but a root may
-differ in its last bits between them.
+Newton step from a start table and certifies it, and sends a point to the
+float route's iteration only where that fails.  Both stop within a few ulps
+of the root, but a root may differ in its last bits between them.
 """
 
 from __future__ import annotations
@@ -77,8 +77,11 @@ _SIGN = {"plus": 1, "minus": -1}
 # most 3.55e-15 on 3e6 seeded points per kind over [0, 745].
 _RESIDUAL_BOUND = 1e-12
 
-# The stop rule's width, in units of max(u, 1), on both routes; see _newton.
+# The stop rule's width, in units of max(u, 1), on both routes; see _root.
 _ULP4 = 4.0 * sys.float_info.epsilon
+
+# Most rounds of a Newton iteration, in _root and in _table's build.
+_MAX_ROUNDS = 200
 
 # The largest first Newton step, in units of max(u, 1), after which _roots
 # may accept the new iterate.  The start table is at most 7.8e-11 off the root
@@ -88,7 +91,7 @@ _ULP4 = 4.0 * sys.float_info.epsilon
 # g' at the new iterate to a relative 2**-20 |g''/g'| max(u, 1), which is
 # small, so g there over the start's slope is the next Newton step, the
 # look-ahead that _roots tests; a point whose start was far off falls back
-# to _newton.
+# to _root.
 _GUARD = 2.0**-20
 
 # Most sweeps of _singular_values; a handful settle the fit's small R.
@@ -161,20 +164,38 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     table: ``r_s = c0 + c1 t + c2 t**2 + c3 t**3`` at ``x = (k + t) * _STEP``,
     ``0 <= t < 1``, and the constant 1 on row ``_NODES``, at the table end.
 
-    The ratios come from the solver's own loop, started from the cold guess
-    ``u = x``.  Their slopes ``r' = (u' - r) / x`` follow from the implicit
-    function theorem, ``u' = -g_x / g_u`` with ``g_x = 1 + s (p - p u)``; the
-    node at 0 takes the exact limits of ``_ORIGIN``.  The interpolant is at
-    most 7.8e-11 off the root in relative terms, which is what lets one
-    Newton step from it certify the root (see :func:`_roots`).  A table with
-    a non-finite entry is refused.  Each kind's table is built on its first
-    call and cached; a build that raises leaves nothing cached.
+    The node roots come from plain Newton rounds started from the Gibbs
+    guess ``u = x``: a node closes once its step is at most
+    ``_ULP4 * max(u, 1)``, the stop rule of :func:`_root`, and keeps the
+    iterate of that round.  Six rounds close every node of both kinds, with
+    the roots that :func:`_root`'s bracket and bisection would give, since
+    neither ever acts there; a node still open after ``_MAX_ROUNDS`` rounds
+    raises, naming the first such ``x``.  The slopes ``r' = (u' - r) / x``
+    follow from the implicit function theorem, ``u' = -g_x / g_u`` with
+    ``g_x = 1 + s (p - p u)``; the node at 0 takes the exact limits of
+    ``_ORIGIN``.  The interpolant is at most 7.8e-11 off the root in
+    relative terms, which is what lets one Newton step from it certify the
+    root (see :func:`_roots`).  A table with a non-finite entry is refused.
+    Each kind's table is built on its first call and cached; a build that
+    raises leaves nothing cached.
     """
     import numpy as np
 
     nodes = np.arange(_NODES + 1) * _STEP
-    u = _newton(nodes, s, nodes.copy())
+    u, open = nodes, np.ones(nodes.shape, dtype=bool)  # open: not yet closed
     with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            g, dg = _g(u, nodes, s, np)
+            step = np.where(g == 0.0, 0.0, g / dg)
+            closed = np.abs(step) <= _ULP4 * np.maximum(u, 1.0)
+            u = np.where(open, u - step, u)
+            open &= ~closed
+            if not np.count_nonzero(open):
+                break
+        else:
+            raise NumericalError(
+                f"root refinement did not converge at x = {float(nodes[open][0]):g}"
+            )
         _, dg = _g(u, nodes, s, np)
         p = np.exp(-u)
         du = -(1.0 + s * (p - p * u)) / dg
@@ -202,11 +223,10 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _start(x: np.ndarray, s: int) -> np.ndarray:
-    """Starting iterate ``u = x r_s(x)`` of :func:`_roots`' Newton step (and of
-    :func:`_newton` where that step fails), with ``r_s`` the cubic Hermite
-    interpolant of the kind's start table and ``x`` clamped to the table end,
-    where ``r_s`` is 1: past the table end the start is the Gibbs guess
-    ``x``; see :func:`_table`.
+    """Starting iterate ``u = x r_s(x)`` of :func:`_roots`' Newton step, with
+    ``r_s`` the cubic Hermite interpolant of the kind's start table and ``x``
+    clamped to the table end, where ``r_s`` is 1: past the table end the
+    start is the Gibbs guess ``x``; see :func:`_table`.
     """
     import numpy as np
 
@@ -226,58 +246,6 @@ def _start(x: np.ndarray, s: int) -> np.ndarray:
     return u
 
 
-def _newton(x: np.ndarray, s: int, u: np.ndarray) -> np.ndarray:
-    """Refine the iterate ``u`` (overwritten) to the roots ``u = -ln p`` at every
-    ``x`` of a 1-D array.
-
-    Newton's method safeguarded by bisection on the bracket ``[0, 2x + 2]``
-    (plus) or ``[x/2, 2x + 2]`` (minus), where ``g`` changes sign from
-    positive to negative; the minus lower end excludes the root ``p = 1``
-    that the minus equation has at every ``x``.  The start is clipped into
-    the bracket.  A point stops when its step or its bracket is below
-    ``_ULP4 * max(u, 1)``, not on the residual: near ``p = 1`` a whole range
-    of ``p`` has a residual below any useful tolerance.  Its root is stored
-    in the round it stops; stopped points ride along until every point has
-    stopped, and their later iterates are never read, so each root depends
-    only on its own ``x`` and start.  A point left open after 200 rounds
-    raises, naming the first such ``x``.
-    """
-    import numpy as np
-
-    lo = 0.5 * x if s < 0 else np.zeros_like(x)
-    with np.errstate(over="ignore"):
-        # capped where 2x + 2 overflows (g is negative at the cap too); the
-        # bisection midpoint below halves lo and hi before adding them
-        hi = np.minimum(2.0 * x + 2.0, np.finfo(float).max)
-    np.maximum(u, lo, out=u)
-    np.minimum(u, hi, out=u)
-    u_root = np.empty_like(x)
-    open = np.ones(x.shape, dtype=bool)  # the points that have not stopped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            g, dg = _g(u, x, s, np)
-            np.copyto(lo, u, where=g > 0.0)
-            np.copyto(hi, u, where=g < 0.0)
-            step = g / dg
-            step[g == 0.0] = 0.0
-            ulps = np.maximum(u, 1.0)
-            ulps *= _ULP4
-            small = np.abs(step) <= ulps
-            done = small | (hi - lo <= ulps)
-            u -= step  # the Newton iterate
-            take_newton = small | ((lo < u) & (u < hi))
-            if np.count_nonzero(take_newton) < u.size:
-                u = np.where(take_newton, u, 0.5 * lo + 0.5 * hi)
-            done &= open
-            np.copyto(u_root, u, where=done)
-            open &= ~done
-            if not np.count_nonzero(open):
-                return u_root
-    raise NumericalError(
-        f"root refinement did not converge at x = {float(x[open][0]):g}"
-    )
-
-
 def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``p`` of the plus (``s = 1``) or minus (``s = -1``) equation at
     every ``x`` of a 1-D array, with their residuals ``|g|``: the array route.
@@ -288,12 +256,11 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     residual and the test that certifies ``u1``.  A point's root is ``u1``
     where its step was at most ``_GUARD * max(u1, 1)`` and the next Newton
     step, ``g(u1)`` over the start's slope, would be below the stop width
-    ``_ULP4 * max(u1, 1)`` of :func:`_newton`.  Every other point, a
-    non-finite step or ``g`` included, runs through :func:`_newton` from its
-    table start, bracket and bisection guard included; those points are
-    gathered into one call and scattered back, so each root depends only on
-    its own ``x``.  A residual above ``_RESIDUAL_BOUND`` raises, naming its
-    ``x``.
+    ``_ULP4 * max(u1, 1)`` of :func:`_root`.  Every other point, a
+    non-finite step or ``g`` included, takes the float route's root and
+    residual from :func:`_root`, so each root depends only on its own ``x``.
+    A residual above ``_RESIDUAL_BOUND`` raises, naming the worst ``x`` of
+    the input.
     """
     import numpy as np
 
@@ -313,8 +280,9 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     certified = (np.abs(step) <= _GUARD * scale) & (residual <= _ULP4 * scale * np.abs(dg))
     if np.count_nonzero(certified) < x.size:
         redo = np.flatnonzero(~certified)
-        x_redo = x[redo]
-        g_redo, p[redo] = _g(_newton(x_redo, s, u0[redo]), x_redo, s, np, slope=False)
+        # the float route's roots, solved here and not by _float_roots, whose
+        # residual check would name the worst x of these points, not the input's
+        g_redo, p[redo] = zip(*[_g(_root(v, s), v, s, math, slope=False) for v in x[redo].tolist()])
         residual[redo] = np.abs(g_redo)
     worst = int(np.argmax(residual))
     _check_residual(float(x[worst]), float(residual[worst]))
@@ -336,17 +304,26 @@ def _check_residual(x: float, residual: float) -> None:
 
 
 def _root(x: float, s: int) -> float:
-    """The root ``u = -ln p`` at one float ``x >= 0``: :func:`_newton` on one
-    Python float.
+    """The root ``u = -ln p`` at one float ``x >= 0``.
 
-    The same bracket, stop rule, bisection guard and 200-round cap, started
-    from the Gibbs guess ``u = x``, which lies inside the bracket; it stops
-    within six rounds for every double ``x``, so it needs no start table.
+    Newton's method safeguarded by bisection (the "rtsafe" scheme of
+    *Numerical Recipes*, section 9.4) on the bracket ``[0, 2x + 2]`` (plus)
+    or ``[x/2, 2x + 2]`` (minus), where ``g`` changes sign from positive to
+    negative; the minus lower end excludes the root ``p = 1`` that the
+    minus equation has at every ``x``.  ``2x + 2`` is capped at the largest
+    float, where ``g`` is negative too.  A Newton iterate that leaves the
+    bracket is replaced by its midpoint, ``lo/2 + hi/2``, a sum that cannot
+    overflow.  The iteration stops when its step or its bracket is at most
+    ``_ULP4 * max(u, 1)``, not on the residual: near ``p = 1`` a whole range
+    of ``p`` has a residual below any useful tolerance.  Started from the
+    Gibbs guess ``u = x``, which lies inside the bracket, it stops within
+    six rounds for every double ``x``; an ``x`` still open after
+    ``_MAX_ROUNDS`` rounds raises.
     """
     lo = 0.5 * x if s < 0 else 0.0
     hi = min(2.0 * x + 2.0, sys.float_info.max)
     u = x
-    for _ in range(200):
+    for _ in range(_MAX_ROUNDS):
         g, dg = _g(u, x, s, math)
         if g > 0.0:
             lo = u
@@ -585,7 +562,9 @@ def _fit_arrays(s: int, degree: int, grid):
     import numpy as np
 
     xs = np.array(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < degree + 1:
+    if xs.ndim != 1:
+        raise ValueError(f"the grid must form a 1-D sequence, got shape {xs.shape}")
+    if xs.size < degree + 1:
         raise ValueError(f"need at least {degree + 1} grid points, got {xs.size}")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise ValueError("grid points must be finite and non-negative")

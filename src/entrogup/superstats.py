@@ -25,6 +25,7 @@ log-density, written in ``beta/beta0`` so that no two of its terms of size
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -314,8 +315,8 @@ def boltzmann_quadrature(
         value, abserr = quad(integrand, upper, epsrel) if c < math.inf else (0.0, 0.0)
     if not value >= sys.float_info.min:  # 0, or below the normal range
         raise NumericalError(
-            "could not push the quadrature tail below the requested tolerance "
-            f"(last upper limit {upper:.3e})"
+            f"the quadrature value {value:g} at p = {p:g}, beta0*E = {x:g} is below "
+            f"the smallest normal float {sys.float_info.min:g}, where its digits are lost"
         )
     # The integrand's own rounding, relative to the value.  Rounding x moves
     # the value by up to eps/2 x/c.  At the mass, r ~ 1/c, the exponent sums
@@ -347,6 +348,10 @@ def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> 
     truncated at the requested order in ``p`` (0, 1, or 2).  Useful for
     ``p * (beta0*E)**2`` well below one.
     """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise ValueError(f"expansion order must be an integer, got {order!r}") from None
     if order not in (0, 1, 2):
         raise ValueError(f"expansion order must be 0, 1, or 2, got {order!r}")
     if not (math.isfinite(energy) and energy >= 0.0):

@@ -659,7 +659,8 @@ def test_derive_disagreement_prints_no_report(monkeypatch, capsys):
         (("maxent", "--energies", "800,801"), 3),
         (("maxent", "--energies", "0,1", "--beta", "1e308"), 3),
         (("maxent", "--energies", "1e308,1e308", "--beta", "10"), 2),
-        # the quadrature tail's upper limit overflows before the tail is small
+        # the quadrature value is below the normal range: 0 where the panels
+        # miss the peak at t ~ 1/p (1e-300); ln Gamma(1/p) overflows (5e-324)
         (("boltzmann", "--p", "1e-300", "--grid", "0:1:2"), 3),
         (("boltzmann", "--p", "5e-324", "--grid", "0:1:2"), 3),
         # ln Gamma(1/p) overflows
@@ -669,6 +670,8 @@ def test_derive_disagreement_prints_no_report(monkeypatch, capsys):
         # an infinite grid endpoint or span
         (("gup", "--alpha0", "0.36", "--grid", "0:inf:3"), 2),
         (("maxent", "--grid", "-1e308:1e308:3"), 2),
+        # the quadrature value, the closed form 1e-308, is subnormal
+        (("boltzmann", "--p", "1", "--grid", "1e308"), 3),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach the user's stderr

@@ -8,6 +8,7 @@ quadrature is checked against ``scipy.integrate.quad``.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -321,7 +322,9 @@ def test_quadrature_tail_failure_is_a_numerical_error(p, beta0, energy):
     # no log(0) or overflow on the way.  The others have a value below the
     # smallest normal float (8.6e-313, 8.2e-315, ~1e-322), where the integrand
     # is subnormal too and its bits are lost.
-    with pytest.raises(NumericalError, match="could not push the quadrature tail"):
+    message = (r"the quadrature value \S+ at " + re.escape(f"p = {p:g}, beta0*E = {beta0 * energy:g}")
+               + r" is below the smallest normal float 2.22507e-308, where its digits are lost$")
+    with pytest.raises(NumericalError, match=message):
         boltzmann_quadrature(GammaBetaParams(p, beta0), energy)
 
 
@@ -377,6 +380,11 @@ def test_series_orders():
     assert abs(boltzmann_series(params, x, order=2) - closed) < 5e-8
     with pytest.raises(ValueError):
         boltzmann_series(params, x, order=3)
+    # the order is an integer, as fit_gen_exp's degree, though 2.0 == 2
+    for order in (2.0, 1.5, "2", None):
+        with pytest.raises(ValueError, match="expansion order must be an integer"):
+            boltzmann_series(params, x, order=order)
+    assert boltzmann_series(params, x, order=np.int64(2)) == boltzmann_series(params, x)
 
 
 @pytest.mark.filterwarnings("error")
