@@ -16,15 +16,20 @@ distribution takes one of two routes, chosen by its number of states:
   imported only on this route.
 
 Each entropy writes its per-state term once; :func:`_sum_terms` evaluates it
-on either route.  ``ProbVector`` plus the five entropies (Tsallis and Renyi
-at q = 2) on near-uniform inputs, with numpy already loaded (best of 90
+on either route, and :func:`_sum_plogp_terms` does so for the three written
+in ``t = p ln p``, whose array-route terms are computed once per
+distribution.  ``ProbVector`` plus the five entropies (Tsallis and Renyi at
+q = 2) on near-uniform inputs, with numpy already loaded (best of 90
 interleaved runs, 2-core shared Xeon host, Python 3.11, numpy 2.4), took
-11 vs 70 us (float vs array route) at 4 states, 63 vs 72 us at 48, 73 vs
-77 us at 56, 80 vs 79 us at 64, 88 vs 74 us at 72, 99 vs 73 us at 80,
-154 vs 84 us at 128 and 295 vs 90 us at 256.  The routes cross at 56-64
-states.  The float route runs up to 64, at the crossover, so it costs a
-process that has numpy at most a few us, and a cold ``entropy`` call skips
-the numpy import.  ``maxent`` takes the same route by the same test
+12 vs 73 us (float vs array route) at 4 states, 63 vs 66 us at 48, 69 vs
+68 us at 56, 78 vs 68 us at 64, 89 vs 69 us at 72, 99 vs 69 us at 80,
+157 vs 72 us at 128 and 294 vs 80 us at 256.  The routes cross at 48-56
+states (at 56-64 while the array route built the ``probs`` tuple on
+construction and each entropy its own ``p ln p``).  The float route still
+runs up to 64 states, where it costs a process that has numpy ~10 us more,
+because a cold ``entropy``, ``maxent`` or ``fit`` call on up to 64 points
+then loads no numpy (~130 ms), and the ``cli-cold`` benchmark's inputs stay
+on that side.  ``maxent`` takes the same route by the same test
 (:func:`_small_floats`).  numpy's SIMD ``log``, ``expm1`` and ``pow`` differ
 from libm's by at most an ulp on some arguments, so a sum may differ in its
 last bits between the routes.
@@ -32,6 +37,7 @@ last bits between the routes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import TYPE_CHECKING
@@ -65,8 +71,11 @@ _FLOAT_ROUTE_MAX = 64
 # any subclass of float, such as numpy's float64.
 _FLOAT_ROUTE_TYPES = {float, int, bool}
 
-# Largest state count ProbVector.uniform builds: each state costs ~80 bytes
-# (a float in the ``probs`` tuple, and the array), ~80 MB at this count.
+# Largest state count ProbVector.uniform builds.  Above _FLOAT_ROUTE_MAX a
+# state costs 8 bytes (the array), 16 once the entropies have cached its
+# p ln p, and 48 once ``probs`` is read (a float and its tuple slot): ~50 MB
+# at this count.  The ``entropy`` command reads no ``probs``; it holds 16 MB
+# here, with a 40 MB peak.
 _MAX_UNIFORM_STATES = 1 << 20
 
 # Most values the kernel sums in numpy: its error bound needs n**2 exact and
@@ -170,11 +179,15 @@ class ProbVector(Value):
     """A finite probability distribution with every entry in (0, 1].
 
     ``probs`` is a tuple of Python floats, so equality and hashing compare
-    values.  Above ``_FLOAT_ROUTE_MAX`` states the entries are also held as
-    one read-only 1-D float64 array, ``_array``, which the entropies below
+    values.  The input may be a tuple, a list or a 1-D array.  Up to
+    ``_FLOAT_ROUTE_MAX`` states the tuple is built on construction and there
+    is no array (``_array`` is None).  Above it the distribution is one
+    read-only 1-D float64 array, ``_array``, which the entropies below
     evaluate elementwise and which stays out of repr, equality and hashing;
-    up to it there is no array (``_array`` is None).  The input may be a
-    tuple, a list or a 1-D array.
+    the tuple is built from it on the first read of ``probs`` (by ``==``,
+    ``hash``, ``repr``, iteration, indexing or pickling, not by ``len``), so
+    a distribution whose entries are never read one by one never holds a
+    Python float per state.
     """
 
     _fields = ("probs",)
@@ -184,32 +197,53 @@ class ProbVector(Value):
         self.__post_init__()
 
     # The validation is a method of its own so that span tracers
-    # (perfbench/spans.py) can wrap it by name.
+    # (perfbench/spans.py) can wrap it by name.  It takes the input that
+    # __init__ left under ``probs``, which the array route drops.
     def __post_init__(self) -> None:
-        values = _small_floats(self.probs)
-        array = None
-        if values is None:
-            import numpy as np
-
-            array = np.array(self.probs, dtype=float)
-            if array.ndim != 1:
-                raise ValueError(
-                    f"probabilities must form a 1-D sequence, got shape {array.shape}"
-                )
-            array.flags.writeable = False
-            # NaN fails both comparisons, inf the second
-            outside = array[~((array > 0.0) & (array <= 1.0))][:1].tolist()
-            values = array.tolist()
-        else:
+        probs = vars(self).pop("probs")
+        values = _small_floats(probs)
+        if values is not None:
+            if not values:
+                raise ValueError("a distribution needs at least one state")
             outside = [p for p in values if not 0.0 < p <= 1.0][:1]
-        if not values:
+            if outside:
+                raise ValueError(f"probabilities must lie in (0, 1], got {outside[0]!r}")
+            total = math.fsum(values)
+            if abs(total - 1.0) > _SUM_TOL:
+                raise ValueError(f"probabilities sum to {total!r}, not 1")
+            vars(self).update(probs=tuple(values), _array=None)
+            return
+        import numpy as np
+
+        array = np.array(probs, dtype=float)
+        if array.ndim != 1:
+            raise ValueError(f"probabilities must form a 1-D sequence, got shape {array.shape}")
+        if not array.size:
             raise ValueError("a distribution needs at least one state")
-        if outside:
-            raise ValueError(f"probabilities must lie in (0, 1], got {outside[0]!r}")
-        total = math.fsum(values) if array is None else _fsum(array)
+        # NaN fails both comparisons (and makes min and max NaN), inf the second
+        if not (array.min() > 0.0 and array.max() <= 1.0):
+            outside = array[~((array > 0.0) & (array <= 1.0))][0]
+            raise ValueError(f"probabilities must lie in (0, 1], got {float(outside)!r}")
+        total = _fsum(array)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        vars(self).update(probs=tuple(values), _array=array)
+        array.flags.writeable = False
+        vars(self)["_array"] = array
+
+    # Only the array route gets here: the float route stores the tuple itself.
+    @functools.cached_property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
+
+    @functools.cached_property
+    def _plogp(self) -> np.ndarray:
+        """The read-only array of the terms ``p ln p`` (array route only),
+        shared by :func:`shannon`, :func:`s_plus` and :func:`s_minus`."""
+        import numpy as np
+
+        terms = self._array * np.log(self._array)
+        terms.flags.writeable = False
+        return terms
 
     # Rebuilt from ``probs``: numpy's unpickling would return a writeable array.
     def __reduce__(self):
@@ -229,7 +263,7 @@ class ProbVector(Value):
         return cls((1.0 / count,) * count)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.probs) if self._array is None else self._array.size
 
     def __iter__(self):
         return iter(self.probs)
@@ -253,10 +287,25 @@ def _sum_terms(dist: ProbVector, term: Callable) -> float:
         return _fsum(term(dist._array, np))
 
 
+def _sum_plogp_terms(dist: ProbVector, term: Callable) -> float:
+    """The exact sum over the states of ``term(t, m)`` at ``t = p ln p``,
+    with ``m`` as in :func:`_sum_terms`; the array route computes the terms
+    ``t`` once per distribution (``ProbVector._plogp``)."""
+    if dist._array is None:
+        return math.fsum([term(p * math.log(p), math) for p in dist.probs])
+    import numpy as np
+
+    return _fsum(term(dist._plogp, np))
+
+
+# The S+- terms below are written in t = p ln p: -p ln p is -t to the bit, as
+# IEEE multiplication rounds (-p) ln p and p ln p to the same magnitude.
+
+
 def shannon(dist: ProbVector) -> float:
     """Boltzmann-Gibbs entropy -sum(p ln p)."""
     # + 0.0 folds the IEEE -0.0 of a delta distribution into +0.0
-    return -_sum_terms(dist, lambda p, m: p * m.log(p)) + 0.0
+    return -_sum_plogp_terms(dist, lambda t, m: t) + 0.0
 
 
 def s_plus(dist: ProbVector) -> float:
@@ -264,12 +313,12 @@ def s_plus(dist: ProbVector) -> float:
 
     ``1 - p**p`` would cancel near ``p = 1``; ``p ln p`` lies in [-1/e, 0].
     """
-    return _sum_terms(dist, lambda p, m: -m.expm1(p * m.log(p)))
+    return _sum_plogp_terms(dist, lambda t, m: -m.expm1(t))
 
 
 def s_minus(dist: ProbVector) -> float:
     """Non-extensive entropy sum(p**(-p) - 1), each term ``expm1(-p ln p)``."""
-    return _sum_terms(dist, lambda p, m: m.expm1(-p * m.log(p)))
+    return _sum_plogp_terms(dist, lambda t, m: m.expm1(-t))
 
 
 def log_plus(x: float) -> float:

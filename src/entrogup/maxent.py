@@ -265,8 +265,9 @@ def _roots(x, s: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(x) & (x >= 0.0))
-    if bad.any():
+    # NaN makes both ends NaN; the mask only names the first bad x
+    if not (x.min() >= 0.0 and x.max() < math.inf):
+        bad = ~(np.isfinite(x) & (x >= 0.0))
         raise _bad_x(float(x[bad][0]))
     u0 = _start(x, s)
     g, dg = _g(u0, x, s, np)
@@ -566,11 +567,12 @@ def _fit_arrays(s: int, degree: int, grid):
         raise ValueError(f"the grid must form a 1-D sequence, got shape {xs.shape}")
     if xs.size < degree + 1:
         raise ValueError(f"need at least {degree + 1} grid points, got {xs.size}")
-    if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
+    # NaN sorts last, and -0.0 passes
+    ordered = np.sort(xs)
+    if not (ordered[0] >= 0.0 and ordered[-1] < math.inf):
         raise ValueError("grid points must be finite and non-negative")
     # counted without np.unique, which imports numpy.ma (most of a cold fit's
     # start-up); -0.0 and 0.0 are one point, as np.unique counts them
-    ordered = np.sort(xs)
     if np.count_nonzero(np.diff(ordered)) + 1 < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
 
@@ -578,7 +580,9 @@ def _fit_arrays(s: int, degree: int, grid):
     weight = np.exp(-xs)
     with np.errstate(over="ignore", invalid="ignore"):
         design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
-    if not np.all(np.isfinite(design)):
+    # 0 <= exp(-x) <= 1 at finite x >= 0, so column j is non-finite only where
+    # x**j overflows, and then x > 1 and x**degree overflows too
+    if not np.isfinite(design[:, -1]).all():
         raise _too_wide(degree, ordered[-1])
     rhs = probs - weight
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)

@@ -1,6 +1,9 @@
 """Entropy family: frozen values, deformed-log identities, expansion structure."""
 
+import copy
+import itertools
 import math
+import pickle
 from unittest import mock
 
 import mpmath
@@ -22,6 +25,7 @@ from entrogup.entropy import (
     shannon,
     tsallis,
 )
+from entrogup.maxent import maxent_distribution
 
 # independent evaluations (mpmath, 50 digits, rounded to double)
 SHANNON_QUARTER = 0.5623351446188083  # -(0.25 ln 0.25 + 0.75 ln 0.75)
@@ -127,11 +131,109 @@ def test_probvector_takes_numpy_floats_on_the_float_route():
 
 
 def test_probvector_keeps_its_own_copy():
-    source = np.array([0.25, 0.75])
-    pv = ProbVector(source)
-    source[:] = 0.5
-    assert pv.probs == (0.25, 0.75)
-    assert s_plus(pv) == s_plus(ProbVector((0.25, 0.75)))
+    # on both routes, of an array or a list changed after construction
+    for probs in ((0.25, 0.75), gibbs_like(N + 1)):
+        for source in (np.array(probs), list(probs)):
+            pv = ProbVector(source)
+            source[0] = 0.5
+            assert pv.probs == probs
+            assert s_plus(pv) == s_plus(ProbVector(probs))
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [N + 1, 4000])
+def test_array_route_builds_the_tuple_on_first_read(n):
+    array = np.array(gibbs_like(n))
+    pv = ProbVector(array)
+    assert "probs" not in vars(pv)
+    assert len(pv) == n and type(len(pv)) is int
+    for fn in (shannon, s_plus, s_minus):
+        fn(pv)
+    assert "probs" not in vars(pv)
+    assert type(pv.probs) is tuple and all(type(p) is float for p in pv.probs)
+    assert hexes(pv.probs) == hexes(array.tolist())
+    assert vars(pv)["probs"] is pv.probs  # built once
+    # the float route builds it on construction, and has no array
+    small = ProbVector(gibbs_like(N))
+    assert "probs" in vars(small) and small._array is None
+
+
+@pytest.mark.parametrize("n", [N + 1, 4000])
+def test_lazy_tuple_reads_agree_with_the_tuple(n):
+    probs = gibbs_like(n)
+    reference = ProbVector(probs)
+    reference.probs
+    reads = [
+        lambda pv: pv == reference,
+        lambda pv: hash(pv) == hash(reference),
+        lambda pv: repr(pv) == repr(reference) == f"ProbVector(probs={probs!r})",
+        lambda pv: list(pv) == list(probs),
+        lambda pv: (pv[0], pv[n // 2], pv[-1]) == (probs[0], probs[n // 2], probs[-1]),
+        lambda pv: copy.copy(pv) == reference and copy.copy(pv).probs == probs,
+        lambda pv: pickle.loads(pickle.dumps(pv)).probs == probs,
+    ]
+    for read in reads:
+        pv = ProbVector(np.array(probs))
+        assert "probs" not in vars(pv)
+        assert read(pv)
+        assert pv.probs == probs
+
+
+def test_maxent_distribution_leaves_the_tuple_unbuilt():
+    levels = np.linspace(0.0, 20.0, 200).tolist()
+    for kind in ("boltzmann", "plus", "minus"):
+        dist = maxent_distribution(levels, 1.0, kind)
+        assert dist._array is not None and "probs" not in vars(dist)
+
+
+def spectrum_like(n, kind):
+    rng = np.random.default_rng([6, n])
+    energies = [0.0, *np.sort(rng.uniform(0.0, rng.uniform(3.0, 60.0), n - 1)).tolist()]
+    return maxent_distribution(energies, 1.0, kind)
+
+
+# the per-entropy numpy formulas that one shared p ln p pass replaced
+PLOGP_REFERENCE = {
+    shannon: lambda p: -entropy._fsum(p * np.log(p)),
+    s_plus: lambda p: entropy._fsum(-np.expm1(p * np.log(p))),
+    s_minus: lambda p: entropy._fsum(np.expm1(-p * np.log(p))),
+}
+
+
+@pytest.mark.parametrize("n", [N + 1, 100, 500, 2000, 4000])
+def test_shared_plogp_keeps_the_per_entropy_bits(n):
+    dists = [ProbVector(gibbs_like(n))]
+    dists += [spectrum_like(n, kind) for kind in ("plus", "minus", "boltzmann")]
+    for dist in dists:
+        expected = {fn: ref(dist._array).hex() for fn, ref in PLOGP_REFERENCE.items()}
+        for order in itertools.permutations(PLOGP_REFERENCE):
+            fresh = ProbVector(dist._array)
+            assert {fn: fn(fresh).hex() for fn in order} == expected
+
+
+def test_shared_plogp_is_a_private_read_only_cache():
+    probs = gibbs_like(500)
+    pv = ProbVector(probs)
+    assert "_plogp" not in vars(pv)
+    shannon(pv)
+    terms = vars(pv)["_plogp"]
+    s_plus(pv)
+    s_minus(pv)
+    assert vars(pv)["_plogp"] is terms and not terms.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        terms[0] = 0.0
+    fresh = ProbVector(probs)
+    assert pv == fresh and hash(pv) == hash(fresh)
+    assert repr(pv) == repr(fresh) and "_plogp" not in repr(pv)
+    assert pickle.dumps(pv) == pickle.dumps(fresh)
+    assert "_plogp" not in vars(pickle.loads(pickle.dumps(pv)))
+    # the float route sums its terms without it
+    small = ProbVector(gibbs_like(N))
+    shannon(small)
+    assert "_plogp" not in vars(small)
 
 
 REFUSALS = [
@@ -159,6 +261,14 @@ def split_last(probs, n):
 def test_probvector_refusals(container, probs, message):
     with pytest.raises(ValueError, match=message):
         ProbVector(container(probs))
+
+
+def test_probvector_range_ends_on_both_routes():
+    # the array route tests the range by its min and max: the least
+    # subnormal and exactly 1 are inside it
+    for n in (N, N + 1):
+        probs = (1.0,) + (5e-324,) * (n - 1)
+        assert ProbVector(np.array(probs)).probs == probs
 
 
 def test_probvector_names_the_exact_sum():

@@ -287,6 +287,52 @@ def test_fit_validation():
             fit_gen_exp("plus", 2, grid)
 
 
+ARRAY_ROUTE_GRID = entropy._FLOAT_ROUTE_MAX + 1  # the fewest points on the array route
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("where", [0, ARRAY_ROUTE_GRID // 2, ARRAY_ROUTE_GRID - 1])
+def test_fit_validation_on_the_array_route(bad, where):
+    # the array route reads sign and finiteness from its sorted copy, where
+    # NaN sorts last; the message is the float route's
+    for count in (ARRAY_ROUTE_GRID - 1, ARRAY_ROUTE_GRID):
+        grid = np.linspace(0.0, 1.0, count)
+        grid[min(where, count - 1)] = bad
+        for points in (grid, grid.tolist()):
+            with pytest.raises(ValueError, match="^grid points must be finite and non-negative$"):
+                fit_gen_exp("plus", 4, points)
+
+
+@pytest.mark.parametrize("x_max, column", [(1e100, 4), (1e150, 3), (1e200, 2)])
+def test_fit_window_too_wide_on_the_array_route(x_max, column):
+    # x**column is the first power to overflow; the array route tests only
+    # the design's last column, which overflows wherever an earlier one does
+    grid = np.linspace(0.0, x_max, ARRAY_ROUTE_GRID)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(x_max ** np.arange(1, 5)).tolist() == [j < column for j in range(1, 5)]
+    message = re.escape(f"too wide for degree 4: x**4 * exp(-x) is not finite at x = {x_max:g}") + "$"
+    for count in (ARRAY_ROUTE_GRID - 1, ARRAY_ROUTE_GRID):
+        with pytest.raises(ValueError, match=message):
+            fit_gen_exp("minus", 4, grid[-count:])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, -5e-324])
+@pytest.mark.parametrize("where", [0, 50, 99])
+def test_roots_name_the_first_bad_x(bad, where):
+    x = np.linspace(0.0, 3.0, 100)
+    x[where] = bad
+    if where < 99:
+        x[-1] = math.nan  # a second bad x, never named
+    for s in (1, -1):
+        with pytest.raises(ValueError, match=re.escape(f"non-negative, got {bad!r}") + "$"):
+            maxent._roots(x, s)
+    # -0.0 passes, as 0.0
+    x = np.linspace(0.0, 3.0, 100)
+    x[where] = -0.0
+    p, _ = maxent._roots(x, 1)
+    assert p[where] == 1.0
+
+
 def test_fit_counts_signed_zeros_as_one_point():
     # as np.unique counts them: -0.0 == 0.0
     with pytest.raises(ValueError, match="need at least 3 distinct grid points"):

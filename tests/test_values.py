@@ -174,6 +174,7 @@ def test_fields_outside_equality():
     # and neither is a constructor argument
     values = ProbVector.uniform(65)
     plain = copy.copy(values)
+    plain.probs  # built from the array on first read, so read before it goes
     object.__setattr__(plain, "_array", None)
     assert values._array is not None
     assert values == plain and hash(values) == hash(plain)
