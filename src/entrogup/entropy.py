@@ -105,9 +105,9 @@ def _fsum(values: np.ndarray) -> float:
     values, values too large for a finite ``sigma`` and arrays of more than
     ``_FSUM_MAX`` values, whose result or exception is then ``math.fsum``'s.
     An array goes there with a chance of about ``2B'`` over the result's
-    ulp: none of the 210,000 sums of 10,000 spectrum benchmark operations on
-    each of three seeds did, nor did any of 40,000 seeded Gibbs and
-    ``p ln p`` arrays of 500-4000 values.
+    ulp: one of the 150,000 sums of 10,000 spectrum benchmark operations on
+    each of seeds 1-3 did (five sums an operation), and none of 40,000
+    seeded Gibbs and ``p ln p`` arrays of 500-4000 values.
     """
     import numpy as np
 
@@ -163,6 +163,37 @@ def _small_floats(probs) -> list[float] | None:
     return list(map(float, probs))
 
 
+def _float_array(values) -> np.ndarray:
+    """``np.array(values, dtype=float)``: its bits, or its exception.
+
+    A list or tuple is packed by ``struct`` into ``np.empty(n)`` in one C
+    pass, ~9 ns a value against numpy's ~22 ns, which spends the difference
+    discovering each entry's dtype.  The pack converts each entry as numpy
+    does, with ``float()``.  It fails on any entry ``float()`` refuses, which
+    numpy may still take (a numeric string, None) or nest (a list), and
+    then numpy converts the input.  It runs with warnings as errors, because
+    numpy 1.25 to at least 2.2 lets ``float()`` of a 1-element array pass
+    with a DeprecationWarning where ``np.array`` nests the array.  That
+    filter is process-wide while the pack runs (~20 us at 2000 values).
+    """
+    import numpy as np
+
+    if type(values) in (list, tuple):
+        import struct
+        import warnings
+
+        out = np.empty(len(values))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                struct.pack_into(f"{out.size}d", out, 0, *values)
+        except Exception:  # a struct.error: numpy converts or refuses the input
+            pass
+        else:
+            return out
+    return np.array(values, dtype=float)
+
+
 def _integer(value: int, name: str) -> int:
     """``value`` as a Python int; a count such as ``name`` must be an integer."""
     try:
@@ -213,9 +244,7 @@ class ProbVector(Value):
                 raise ValueError(f"probabilities sum to {total!r}, not 1")
             vars(self).update(probs=tuple(values), _array=None)
             return
-        import numpy as np
-
-        array = np.array(probs, dtype=float)
+        array = _float_array(probs)
         if array.ndim != 1:
             raise ValueError(f"probabilities must form a 1-D sequence, got shape {array.shape}")
         if not array.size:
@@ -224,9 +253,17 @@ class ProbVector(Value):
         if not (array.min() > 0.0 and array.max() <= 1.0):
             outside = array[~((array > 0.0) & (array <= 1.0))][0]
             raise ValueError(f"probabilities must lie in (0, 1], got {float(outside)!r}")
-        total = _fsum(array)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        # numpy's sum of n positive values is off the exact sum by at most
+        # about (n - 1) u times it, in any order of the additions (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+        # 4.2), and _fsum's by u times it; 2 n u leaves room for the rounding
+        # of this test, so a sum it accepts passes the exact check below,
+        # which decides every other one.  It accepts only up to ~4500 states.
+        approx = float(array.sum())
+        if not abs(approx - 1.0) + array.size * math.ulp(1.0) * approx <= _SUM_TOL:
+            total = _fsum(array)
+            if abs(total - 1.0) > _SUM_TOL:
+                raise ValueError(f"probabilities sum to {total!r}, not 1")
         array.flags.writeable = False
         vars(self)["_array"] = array
 
@@ -260,6 +297,10 @@ class ProbVector(Value):
             raise ValueError(
                 f"the number of states must lie in [1, {_MAX_UNIFORM_STATES}], got {count!r}"
             )
+        if count > _FLOAT_ROUTE_MAX:
+            import numpy as np
+
+            return cls(np.full(count, 1.0 / count))
         return cls((1.0 / count,) * count)
 
     def __len__(self) -> int:

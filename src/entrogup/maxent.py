@@ -49,7 +49,7 @@ from .ansatz import (
     load_coeffs,
     save_coeffs,
 )
-from .entropy import ProbVector, _fsum, _small_floats
+from .entropy import ProbVector, _float_array, _fsum, _small_floats
 from .errors import NumericalError
 
 if TYPE_CHECKING:
@@ -562,7 +562,7 @@ def _fit_arrays(s: int, degree: int, grid):
     """:func:`fit_gen_exp` on the array route; returns as :func:`_fit_floats`."""
     import numpy as np
 
-    xs = np.array(grid, dtype=float)
+    xs = _float_array(grid)
     if xs.ndim != 1:
         raise ValueError(f"the grid must form a 1-D sequence, got shape {xs.shape}")
     if xs.size < degree + 1:
@@ -660,7 +660,7 @@ def _distribution_arrays(energies, beta: float, kind: str):
     returns the levels as an array first."""
     import numpy as np
 
-    levels = np.array(energies, dtype=float)
+    levels = _float_array(energies)
     if levels.ndim != 1:
         raise ValueError(f"energies must form a 1-D sequence, got shape {levels.shape}")
     if not levels.size:

@@ -4,6 +4,10 @@ import copy
 import itertools
 import math
 import pickle
+import re
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -319,6 +323,215 @@ def test_uniform_refuses_counts_above_bound_before_allocating(omega):
     # 10**12 states would need ~80 TB; the refusal comes before any allocation
     with pytest.raises(ValueError, match=r"must lie in \[1, 1048576\]"):
         ProbVector.uniform(omega)
+
+
+@pytest.mark.parametrize("omega", [N + 1, 1 << 20])
+def test_uniform_array_keeps_the_tuple_bits(omega):
+    pv = ProbVector.uniform(omega)
+    from_tuple = ProbVector((1.0 / omega,) * omega)
+    assert pv._array.tobytes() == from_tuple._array.tobytes()
+    assert not pv._array.flags.writeable
+    assert [fn(pv).hex() for fn in (shannon, s_plus, s_minus)] == [
+        fn(from_tuple).hex() for fn in (shannon, s_plus, s_minus)
+    ]
+    if omega == N + 1:
+        assert pv == from_tuple and pv.probs == (1.0 / omega,) * omega
+
+
+# --------------------------------------------------------------------------
+# _float_array: np.array(values, dtype=float), bit for bit and error for error
+
+
+def conversion(convert, values):
+    """What ``convert(values)`` returns (dtype, shape and bytes) or raises
+    (type and message), and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = convert(values)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (out.dtype, out.shape, out.tobytes(), out.flags.writeable)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class OldNumpyArray:
+    """A 1-element array as numpy 1.25-2.2 treat one: ``float()`` gives its
+    value with a DeprecationWarning, ``np.array`` nests it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.value], dtype=dtype)
+
+    def __float__(self):
+        warnings.warn("Conversion of an array with ndim > 0 to a scalar is deprecated",
+                      DeprecationWarning, stacklevel=2)
+        return self.value
+
+
+ENTRIES = {
+    "float": 0.3,
+    "negative zero": -0.0,
+    "nan": math.nan,
+    "int": 3,
+    "int past 2**53": 2**53 + 1,
+    "int past int64": -(2**63) - 1,
+    "bool": True,
+    "10**400": 10**400,
+    "np.float64": np.float64(0.1),
+    "np.float32": np.float32(0.1),
+    "np.int64": np.int64(2**62 + 1),
+    "Fraction": Fraction(1, 3),
+    "Decimal": Decimal("0.1"),
+    "0-d array": np.array(0.25),
+    "numeric string": "0.5",
+    "None": None,
+    "complex": 1 + 2j,
+    "np.complex128": np.complex128(1 + 2j),
+    "nested list": [0.5],
+    "1-element array": np.array([0.5]),
+    "deprecated 1-element array": OldNumpyArray(0.5),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize("n", [N + 1, 4000])
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("layout", ["one", "all"])
+def test_float_array_is_np_array(entry, n, container, layout):
+    values = np.random.default_rng(n).random(n).tolist()
+    if layout == "all":
+        values = [entry] * n
+    else:
+        values[n // 2] = entry
+    values = container(values)
+    expected = conversion(lambda v: np.array(v, dtype=float), values)
+    assert conversion(entropy._float_array, values) == expected
+
+
+def test_float_array_packs_plain_numbers_without_numpy_discovery():
+    values = [0.5, 1, True, np.float64(0.25)] * 50
+    with mock.patch.object(np, "array", wraps=np.array) as spy:
+        out = entropy._float_array(values)
+    assert not spy.called
+    assert out.tobytes() == np.array(values, dtype=float).tobytes()
+    assert entropy._float_array([]).shape == (0,)
+
+
+def test_float_array_refuses_a_deprecated_1_element_array_entry():
+    # numpy 1.25-2.2 convert such an entry with float() and a warning; the
+    # pack must not, or the distribution would pass as 1-D
+    probs = [OldNumpyArray(0.5), OldNumpyArray(0.5)] * (N + 1)
+    assert entropy._float_array(probs).shape == (2 * N + 2, 1)
+    with pytest.raises(ValueError, match="1-D"):
+        ProbVector(probs)
+
+
+@pytest.mark.parametrize("source", [
+    np.linspace(0.0, 1.0, N + 1),
+    np.linspace(0.0, 1.0, N + 1, dtype=np.float32),
+    np.arange(N + 1),
+])
+def test_float_array_copies_an_ndarray(source):
+    source.flags.writeable = False
+    out = entropy._float_array(source)
+    assert out.dtype == float and out.flags.writeable
+    assert not np.shares_memory(out, source)
+    assert out.tobytes() == np.array(source, dtype=float).tobytes()
+
+
+# --------------------------------------------------------------------------
+# the array route's sum check: one numpy sum decides it where Higham's bound
+# settles it, the exact sum everywhere else
+
+
+def exact_refusal(array):
+    """The array route's message for ``array`` from its range test and its
+    exact sum alone, or None where it is a distribution."""
+    outside = array[~((array > 0.0) & (array <= 1.0))]
+    if outside.size:
+        return f"probabilities must lie in (0, 1], got {float(outside[0])!r}"
+    total = math.fsum(array.tolist())
+    if abs(total - 1.0) > entropy._SUM_TOL:
+        return f"probabilities sum to {total!r}, not 1"
+    return None
+
+
+def assert_exact_decision(array):
+    message = exact_refusal(array)
+    if message is None:
+        assert ProbVector(array)._array.tobytes() == array.tobytes()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProbVector(array)
+
+
+def sum_edges():
+    """The last accepted sum and the first refused one, above 1 and below."""
+    edges = []
+    for away in (2.0, 0.0):
+        inside = 1.0
+        while abs(math.nextafter(inside, away) - 1.0) <= entropy._SUM_TOL:
+            inside = math.nextafter(inside, away)
+        edges += [inside, math.nextafter(inside, away)]
+    return edges
+
+
+def summing_to(total, n):
+    """``n`` positive doubles whose exact sum is ``total``: n - 1 equal powers
+    of 2 make up a quarter to a half, the last entry the rest."""
+    part = 2.0 ** -((n - 1).bit_length() + 1)
+    array = np.full(n, part)
+    array[-1] = total - (n - 1) * part
+    assert math.fsum(array.tolist()) == total
+    return array
+
+
+def test_sum_edges_are_one_ulp_apart_around_the_tolerance():
+    above, refused_above, below, refused_below = sum_edges()
+    assert above - 1.0 <= entropy._SUM_TOL < refused_above - 1.0
+    assert 1.0 - below <= entropy._SUM_TOL < 1.0 - refused_below
+    assert refused_above == math.nextafter(above, 2.0)
+    assert refused_below == math.nextafter(below, 0.0)
+
+
+@pytest.mark.parametrize("total", sum_edges())
+@pytest.mark.parametrize("n", [N + 1, 4000, 1 << 20])
+def test_sum_check_decides_at_the_tolerance_as_the_exact_sum(n, total):
+    assert_exact_decision(summing_to(total, n))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, 1.5])
+@pytest.mark.parametrize("n", [N + 1, 4000, 1 << 20])
+def test_sum_check_leaves_range_refusals_as_they_were(n, bad):
+    array = np.full(n, 1.0 / n)
+    array[n // 3] = bad
+    assert_exact_decision(array)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(N + 1, 5000),
+       st.floats(-4e-12, 4e-12), st.sampled_from([0.0, 1.0, 30.0, 700.0]))
+@settings(max_examples=200, deadline=None)
+def test_sum_check_decides_as_the_exact_sum(seed, n, offset, spread):
+    rng = np.random.default_rng(seed)
+    weights = np.exp(-np.sort(rng.uniform(0.0, spread, n)))
+    assert_exact_decision(weights / weights.sum() * (1.0 + offset))
+
+
+def test_sum_check_takes_no_exact_sum_for_a_maxent_distribution(monkeypatch):
+    # maxent normalizes with its own _fsum; entropy's is the sum check's
+    exact = mock.Mock(wraps=entropy._fsum)
+    monkeypatch.setattr(entropy, "_fsum", exact)
+    levels = np.sort(np.random.default_rng(2000).uniform(0.0, 30.0, 2000)).tolist()
+    for kind in ("plus", "minus", "boltzmann"):
+        maxent_distribution(levels, 1.0, kind)
+    assert not exact.called
+    for total in sum_edges()[::2]:  # accepted, on the exact sum
+        ProbVector(summing_to(total, 2000))
+    assert exact.call_count == 2
 
 
 def test_frozen_values():

@@ -268,6 +268,25 @@ def test_fit_grid_containers():
         fit_gen_exp("plus", 4, grid.reshape(1, -1))
 
 
+@pytest.mark.parametrize("n", [entropy._FLOAT_ROUTE_MAX + 1, 2000])
+def test_array_route_inputs_give_one_result_whatever_the_container(n):
+    # lists and tuples are packed by struct, arrays and the rest by numpy
+    rng = np.random.default_rng(n)
+    levels = np.sort(rng.uniform(0.0, 30.0, n))
+    mixed = [int(x) if i % 3 == 0 else np.float64(x) for i, x in enumerate(levels.round())]
+    for kind in ("plus", "minus", "boltzmann"):
+        for values in (levels, mixed):
+            expected = maxent_distribution(np.array(values, dtype=float), 1.0, kind)._array
+            for container in (list, tuple, lambda v: [str(x) for x in v]):
+                dist = maxent_distribution(container(values), 1.0, kind)
+                assert dist._array.tobytes() == expected.tobytes()
+    grid = levels / 10.0
+    for kind in ("plus", "minus"):
+        expected = fit_gen_exp(kind, 4, grid)
+        for container in (list, tuple):
+            assert fit_gen_exp(kind, 4, container(grid.tolist())) == expected
+
+
 def test_fit_validation():
     grid = np.linspace(0.0, 1.0, 31)
     with pytest.raises(ValueError):
