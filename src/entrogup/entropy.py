@@ -171,27 +171,51 @@ def _float_array(values) -> np.ndarray:
     discovering each entry's dtype.  The pack converts each entry as numpy
     does, with ``float()``.  It fails on any entry ``float()`` refuses, which
     numpy may still take (a numeric string, None) or nest (a list), and
-    then numpy converts the input.  It runs with warnings as errors, because
-    numpy 1.25 to at least 2.2 lets ``float()`` of a 1-element array pass
-    with a DeprecationWarning where ``np.array`` nests the array.  That
-    filter is process-wide while the pack runs (~20 us at 2000 values).
+    then numpy converts the input.  numpy 1.25 to about 2.2 let ``float()``
+    of a 1-element array pass with a DeprecationWarning where ``np.array``
+    nests the array; under such a numpy (see :func:`_float_takes_arrays`)
+    the pack runs with warnings as errors, a filter that is process-wide
+    while it runs (~20 us at 2000 values).  A numpy whose ``float()``
+    refuses such an array needs no filter, and the pack sets none.
     """
     import numpy as np
 
     if type(values) in (list, tuple):
         import struct
-        import warnings
 
         out = np.empty(len(values))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
+            if _float_takes_arrays():
+                import warnings
+
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    struct.pack_into(f"{out.size}d", out, 0, *values)
+            else:
                 struct.pack_into(f"{out.size}d", out, 0, *values)
         except Exception:  # a struct.error: numpy converts or refuses the input
             pass
         else:
             return out
     return np.array(values, dtype=float)
+
+
+@functools.cache
+def _float_takes_arrays() -> bool:
+    """Whether ``float()`` of a 1-element numpy array gives its value, with
+    or without a warning, rather than raising ``TypeError``; tested once,
+    on the first pack, with warnings ignored for that one call."""
+    import warnings
+
+    import numpy as np
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            float(np.array([0.5]))
+    except TypeError:
+        return False
+    return True
 
 
 def _integer(value: int, name: str) -> int:

@@ -71,8 +71,9 @@ _UNIT_RATIO_Z = 2.0**-27
 class GupParams(Value):
     """Dimensionless deformation ``alpha0`` and the scale ``m_pl`` it divides.
 
-    ``alpha = alpha0 / m_pl**2`` is derived once here; it is not a
-    constructor argument and stays out of repr, equality and hashing.
+    ``alpha = alpha0 / m_pl**2`` and ``_sqrt_alpha = sqrt(|alpha|)``, the
+    scale of the momentum maps and of the cap, are derived once here; they
+    are not constructor arguments and stay out of repr, equality and hashing.
     """
 
     _fields = ("alpha0", "m_pl")
@@ -92,7 +93,9 @@ class GupParams(Value):
                 f"alpha = alpha0/m_pl**2 overflows for alpha0 = {alpha0!r}, "
                 f"m_pl = {m_pl!r}"
             )
-        vars(self).update(alpha0=alpha0, m_pl=m_pl, alpha=alpha)
+        vars(self).update(
+            alpha0=alpha0, m_pl=m_pl, alpha=alpha, _sqrt_alpha=math.sqrt(abs(alpha))
+        )
 
 
 class RegimeSummary(Value):
@@ -288,8 +291,7 @@ def p_of_k(params: GupParams, k: float) -> float:
     ``sqrt(|a|) |k|`` is below 2**-27, which takes in ``a = 0``.
     """
     k = _require_finite("k", k)
-    a = params.alpha
-    root = math.sqrt(abs(a))
+    a, root = params.alpha, params._sqrt_alpha
     z = root * k
     if abs(z) < _UNIT_RATIO_Z:
         return k
@@ -311,8 +313,7 @@ def k_of_p(params: GupParams, p: float) -> float:
     ``sqrt(|a|) |p|`` is below 2**-27.
     """
     p = _require_finite("p", p)
-    a = params.alpha
-    root = math.sqrt(abs(a))
+    a, root = params.alpha, params._sqrt_alpha
     z = root * p
     if abs(z) < _UNIT_RATIO_Z:
         return p
@@ -342,10 +343,10 @@ def uncertainty_lower_bound(params: GupParams, dp: float) -> float:
     if dp <= 0.0:
         raise ValueError(f"the momentum spread must be positive, got {dp!r}")
     a = params.alpha
-    if a < 0.0 and dp >= 1.0 / math.sqrt(-a):
+    if a < 0.0 and dp >= 1.0 / params._sqrt_alpha:
         raise ValueError(
             f"the momentum spread must stay below 1/sqrt(|alpha|) = "
-            f"{1.0 / math.sqrt(-a):g}, got {dp!r}"
+            f"{1.0 / params._sqrt_alpha:g}, got {dp!r}"
         )
     return (1.0 + a * dp * dp) / (2.0 * dp)
 
@@ -359,7 +360,7 @@ def regime_summary(params: GupParams) -> RegimeSummary:
     """
     a = params.alpha
     if a > 0.0:
-        return RegimeSummary(a, "minimal_length", math.sqrt(a), None)
+        return RegimeSummary(a, "minimal_length", params._sqrt_alpha, None)
     if a < 0.0:
-        return RegimeSummary(a, "max_momentum", None, 1.0 / math.sqrt(-a))
+        return RegimeSummary(a, "max_momentum", None, 1.0 / params._sqrt_alpha)
     return RegimeSummary(0.0, "heisenberg", None, None)

@@ -573,23 +573,31 @@ def _fit_arrays(s: int, degree: int, grid):
         raise ValueError("grid points must be finite and non-negative")
     # counted without np.unique, which imports numpy.ma (most of a cold fit's
     # start-up); -0.0 and 0.0 are one point, as np.unique counts them
-    if np.count_nonzero(np.diff(ordered)) + 1 < degree + 1:
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) + 1 < degree + 1:
         raise ValueError(f"need at least {degree + 1} distinct grid points")
+    # 0 <= exp(-x) <= 1 at finite x >= 0, so the design's last column,
+    # w x**degree, is non-finite exactly where x**degree overflows at the
+    # largest x; one scalar test, and no running product below overflows
+    try:
+        float(ordered[-1]) ** degree
+    except OverflowError:
+        raise _too_wide(degree, ordered[-1]) from None
 
     probs, _ = _roots(xs, s)
     weight = np.exp(-xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        design = weight[:, None] * xs[:, None] ** np.arange(1, degree + 1)
-    # 0 <= exp(-x) <= 1 at finite x >= 0, so column j is non-finite only where
-    # x**j overflows, and then x > 1 and x**degree overflows too
-    if not np.isfinite(design[:, -1]).all():
-        raise _too_wide(degree, ordered[-1])
+    # row j - 1 holds w x**j, the running product (w x**(j-1)) x: no libm pow
+    # per entry; the transpose is the column-major design that LAPACK reads
+    powers = np.empty((degree, xs.size))
+    np.multiply(weight, xs, out=powers[0])
+    for j in range(1, degree):
+        np.multiply(powers[j - 1], xs, out=powers[j])
+    design = powers.T
     rhs = probs - weight
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < degree:
         raise NumericalError("the fit design matrix is rank deficient on this grid")
-    model = weight + design @ solution
-    rms = float(np.sqrt(np.mean((model - probs) ** 2)))
+    residual = weight + design @ solution - probs
+    rms = math.sqrt(float(np.add.reduce(residual * residual)) / xs.size)
     return solution.tolist(), rms, ordered[0], ordered[-1], xs.size
 
 

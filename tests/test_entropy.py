@@ -5,6 +5,8 @@ import itertools
 import math
 import pickle
 import re
+import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -401,7 +403,10 @@ ENTRIES = {
 @pytest.mark.parametrize("n", [N + 1, 4000])
 @pytest.mark.parametrize("container", [list, tuple])
 @pytest.mark.parametrize("layout", ["one", "all"])
-def test_float_array_is_np_array(entry, n, container, layout):
+def test_float_array_is_np_array(entry, n, container, layout, monkeypatch):
+    if isinstance(entry, OldNumpyArray):
+        # the numpy it models has float() take a 1-element array
+        monkeypatch.setattr(entropy, "_float_takes_arrays", lambda: True)
     values = np.random.default_rng(n).random(n).tolist()
     if layout == "all":
         values = [entry] * n
@@ -421,13 +426,55 @@ def test_float_array_packs_plain_numbers_without_numpy_discovery():
     assert entropy._float_array([]).shape == (0,)
 
 
-def test_float_array_refuses_a_deprecated_1_element_array_entry():
+def test_float_array_refuses_a_deprecated_1_element_array_entry(monkeypatch):
     # numpy 1.25-2.2 convert such an entry with float() and a warning; the
     # pack must not, or the distribution would pass as 1-D
+    monkeypatch.setattr(entropy, "_float_takes_arrays", lambda: True)
     probs = [OldNumpyArray(0.5), OldNumpyArray(0.5)] * (N + 1)
     assert entropy._float_array(probs).shape == (2 * N + 2, 1)
     with pytest.raises(ValueError, match="1-D"):
         ProbVector(probs)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_float_array_leaves_other_threads_warnings_alone():
+    # where float() refuses a 1-element array, the pack sets no warnings
+    # filter, so a warning in another thread stays a warning while it runs
+    float_takes_arrays = True
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            float(np.array([0.5]))
+    except TypeError:
+        float_takes_arrays = False
+    assert entropy._float_takes_arrays() is float_takes_arrays
+    if float_takes_arrays:
+        pytest.skip("this numpy's float() takes a 1-element array: the pack needs the filter")
+    values = np.random.default_rng(5).random(2000).tolist()
+    expected = np.array(values).tobytes()
+    stop, raised, warned = threading.Event(), [], [0]
+
+    def warn():
+        while not stop.is_set():
+            try:
+                warnings.warn("from another thread", UserWarning)
+            except Exception as exc:
+                raised.append(exc)
+            warned[0] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=warn)
+    try:
+        thread.start()
+        for _ in range(300):
+            assert entropy._float_array(values).tobytes() == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert warned[0] > 0 and raised == []
 
 
 @pytest.mark.parametrize("source", [

@@ -1,6 +1,8 @@
 """Coefficients-to-deformation pipeline and the deformed uncertainty relation."""
 
 import math
+import pickle
+import re
 import warnings
 
 import mpmath
@@ -576,6 +578,42 @@ def test_saturated_maps_keep_their_limit():
     assert p_of_k(GupParams(-1e100), 1e260) == pytest.approx(1e-50, rel=1e-15)
     assert k_of_p(GupParams(1e100), -1e260) == pytest.approx(-0.5 * math.pi * 1e-50,
                                                              rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cached_root_keeps_every_bit(sign):
+    # sqrt(|alpha|) is derived once in GupParams; the maps, the bound and the
+    # regime scales keep the bits of the formulas that take it per call
+    rng = np.random.default_rng(2026)
+    for log_a, m_pl, w in zip(rng.uniform(-12, 2, 300), 10.0 ** rng.uniform(-3, 3, 300),
+                              rng.uniform(-1.5, 1.5, 300)):
+        params = GupParams(sign * 10.0**log_a, m_pl)
+        a = params.alpha
+        k = w / math.sqrt(abs(a))
+        z = math.sqrt(abs(a)) * k
+        p = (math.tanh if a < 0.0 else math.tan)(z) / math.sqrt(abs(a))
+        assert p_of_k(params, k).hex() == p.hex()
+        if a > 0.0 or abs(z) < 1.0:
+            q = (math.atanh if a < 0.0 else math.atan)(z) / math.sqrt(abs(a))
+            assert k_of_p(params, k).hex() == q.hex()
+        dp = abs(k)
+        if a > 0.0 or dp < 1.0 / math.sqrt(-a):
+            bound = (1.0 + a * dp * dp) / (2.0 * dp)
+            assert uncertainty_lower_bound(params, dp).hex() == bound.hex()
+        else:
+            cap = f"{1.0 / math.sqrt(-a):g}"
+            with pytest.raises(ValueError, match=re.escape(f"1/sqrt(|alpha|) = {cap},")):
+                uncertainty_lower_bound(params, dp)
+        summary = regime_summary(params)
+        if a > 0.0:
+            assert summary.minimal_length.hex() == math.sqrt(a).hex()
+        else:
+            assert summary.max_momentum.hex() == (1.0 / math.sqrt(-a)).hex()
+        # the cached root is not a field: repr, == and hash are over alpha0 and m_pl
+        assert repr(params) == f"GupParams(alpha0={params.alpha0!r}, m_pl={m_pl!r})"
+        twin = pickle.loads(pickle.dumps(params))
+        assert twin == params and hash(twin) == hash(params)
+        assert twin._sqrt_alpha.hex() == params._sqrt_alpha.hex() == math.sqrt(abs(a)).hex()
 
 
 def test_zero_deformation_is_identity():
