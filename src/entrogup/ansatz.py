@@ -37,12 +37,12 @@ class AnsatzCoeffs(Value):
     def __init__(
         self, a: tuple[float, ...], kind: str = "custom", q: float | None = None
     ) -> None:
-        a = tuple(float(v) for v in a)
+        a = tuple(map(float, a))
         if not a:
             raise ValueError("need at least the constant coefficient a0")
         if a[0] != 1.0:
             raise ValueError(f"a0 is pinned to 1, got {a[0]!r}")
-        if not all(math.isfinite(v) for v in a):
+        if not all(map(math.isfinite, a)):
             raise ValueError("coefficients must be finite")
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")

@@ -28,9 +28,10 @@ from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
     TruncatedSeries,
+    _ln_one_plus,
+    _sqrt,
     exp_series,
     ln_one_plus,
-    sqrt_series,
 )
 
 __all__ = [
@@ -164,10 +165,10 @@ def effective_hamiltonian_series(
     # sum_j a_j H**j is sum_j a_j 2**-j y**j; terms with j > order/2 start
     # above the truncation.
     tail = [math.ldexp(a, -j) for j, a in enumerate(coeffs.a[1 : half + 1], 1)]
-    ln_w = ln_one_plus(TruncatedSeries((0.0, *tail) + (0.0,) * (half - len(tail))))
+    ln_w = _ln_one_plus([0.0, *tail] + [0.0] * (half - len(tail)))
     # 0.0 - c rather than -c: a zero coefficient stays +0, never -0.
     h_k = [0.0] * (order + 1)
-    h_k[::2] = [0.0 - c for c in ln_w.coeffs]
+    h_k[::2] = [0.0 - c for c in ln_w]
     h_k[2] += 0.5
     return TruncatedSeries(h_k)
 
@@ -184,9 +185,9 @@ def effective_momentum_series(h: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(
             "the k**2 coefficient must be positive (requires a1 < 1)"
         )
-    root = sqrt_series(TruncatedSeries(tuple(2.0 * c for c in h.coeffs[2::2])))
+    root = _sqrt([2.0 * c for c in h.coeffs[2::2]])
     p_k = [0.0] * h.order
-    p_k[1::2] = root.coeffs
+    p_k[1::2] = root
     return TruncatedSeries(p_k)
 
 
@@ -195,7 +196,7 @@ def normalize_momentum(p: TruncatedSeries) -> TruncatedSeries:
     if p.order < 1 or p.coeffs[1] == 0.0:
         raise ValueError("normalization needs a nonzero linear coefficient")
     lead = p.coeffs[1]
-    return TruncatedSeries(tuple(c / lead for c in p.coeffs))
+    return TruncatedSeries([c / lead for c in p.coeffs])
 
 
 def deformation_closed(a1: float, a2: float) -> float:
@@ -276,11 +277,10 @@ def tsallis_coeffs(q: float, order: int = 4) -> AnsatzCoeffs:
     return AnsatzCoeffs(poly.coeffs, kind="tsallis", q=q)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+# The momentum maps test their float() argument inline, with math.isfinite,
+# and build this error only when they refuse it.
+def _not_finite(name: str, value: float) -> ValueError:
+    return ValueError(f"{name} must be finite, got {value!r}")
 
 
 def p_of_k(params: GupParams, k: float) -> float:
@@ -290,7 +290,9 @@ def p_of_k(params: GupParams, k: float) -> float:
     and the tanh continuation for ``a < 0``; ``k`` itself where
     ``sqrt(|a|) |k|`` is below 2**-27, which takes in ``a = 0``.
     """
-    k = _require_finite("k", k)
+    k = float(k)
+    if not math.isfinite(k):
+        raise _not_finite("k", k)
     a, root = params.alpha, params._sqrt_alpha
     z = root * k
     if abs(z) < _UNIT_RATIO_Z:
@@ -312,7 +314,9 @@ def k_of_p(params: GupParams, p: float) -> float:
     ``a < 0`` (domain ``|p| < 1/sqrt(|a|)``); ``p`` itself where
     ``sqrt(|a|) |p|`` is below 2**-27.
     """
-    p = _require_finite("p", p)
+    p = float(p)
+    if not math.isfinite(p):
+        raise _not_finite("p", p)
     a, root = params.alpha, params._sqrt_alpha
     z = root * p
     if abs(z) < _UNIT_RATIO_Z:
@@ -329,7 +333,9 @@ def k_of_p(params: GupParams, p: float) -> float:
 
 def commutator_rhs(params: GupParams, p: float) -> float:
     """Deformation factor ``1 + alpha p**2`` of the position-momentum commutator."""
-    p = _require_finite("p", p)
+    p = float(p)
+    if not math.isfinite(p):
+        raise _not_finite("p", p)
     return 1.0 + params.alpha * p * p
 
 
@@ -339,7 +345,9 @@ def uncertainty_lower_bound(params: GupParams, dp: float) -> float:
     Requires ``dp > 0``; for negative ``alpha`` also ``dp < 1/sqrt(|alpha|)``
     so the bound stays positive.
     """
-    dp = _require_finite("dp", dp)
+    dp = float(dp)
+    if not math.isfinite(dp):
+        raise _not_finite("dp", dp)
     if dp <= 0.0:
         raise ValueError(f"the momentum spread must be positive, got {dp!r}")
     a = params.alpha

@@ -98,6 +98,13 @@ _GUARD = 2.0**-20
 _JACOBI_SWEEPS = 30
 
 
+def _rcond(rows: int, columns: int) -> float:
+    """The fit's rank cutoff on both routes, ``np.linalg.lstsq``'s default
+    ``rcond``: a design whose smallest singular value is at most this times
+    its largest is rank deficient."""
+    return sys.float_info.epsilon * max(rows, columns)
+
+
 class MaxEntSolution(Value):
     """Root of an implicit maximum-entropy equation at a given ``x = beta*E``."""
 
@@ -489,10 +496,8 @@ def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
     Householder QR with ``math.fsum`` inner products, then back substitution.
     Each column is first scaled by a power of two to a largest magnitude in
     [1/2, 1), which changes no bit of the factorization but keeps its sums of
-    squares from underflowing.  The rank test is ``np.linalg.lstsq``'s with
-    its default ``rcond``: the design is rank deficient where its smallest
-    singular value, that of ``R``, is at most ``eps * max(rows, columns)``
-    times its largest.
+    squares from underflowing.  The rank test is ``np.linalg.lstsq``'s, with
+    :func:`_rcond`, on the singular values of ``R``.
     """
     rows, width = len(rhs), len(columns)
     scales = [math.frexp(max(map(abs, column)))[1] for column in columns]
@@ -513,7 +518,7 @@ def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
     # R unscaled, up to one common power of two
     top = max(scales)
     r = [[math.ldexp(t, e - top) for t in column[:width]] for column, e in zip(a, scales)]
-    limit = sys.float_info.epsilon * max(rows, width)
+    limit = _rcond(rows, width)
     # sigma_min <= min |R_kk| and sigma_max >= R's largest column norm: a
     # test that settles high-degree fits without the O(width**3) sweeps
     deficient = min(abs(column[k]) for k, column in enumerate(r)) <= limit * max(map(_norm, r))
@@ -593,7 +598,7 @@ def _fit_arrays(s: int, degree: int, grid):
         np.multiply(powers[j - 1], xs, out=powers[j])
     design = powers.T
     rhs = probs - weight
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=_rcond(xs.size, degree))
     if rank < degree:
         raise NumericalError("the fit design matrix is rank deficient on this grid")
     residual = weight + design @ solution - probs

@@ -150,18 +150,23 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_cauchy(a.coeffs, b.coeffs, min(a.order, b.order)))
 
 
-def ln_one_plus(u: TruncatedSeries) -> TruncatedSeries:
-    """``ln(1 + u)`` for a series ``u`` with zero constant term.
+def _ln_one_plus(u: list[float] | tuple[float, ...]) -> list[float]:
+    """Coefficients of ``ln(1 + u)`` for coefficients ``u`` with ``u[0] == 0``.
 
     From ``(1 + u) w' = u'``: ``w_m = u_m - sum_{k<m} (k/m) w_k u_{m-k}``.
     """
+    terms = _nonzero(u)
+    w = [0.0] * len(u)
+    for m in range(1, len(u)):
+        w[m] = u[m] - _fsum([(m - j) / m * w[m - j] * c for j, c in terms if j < m])
+    return w
+
+
+def ln_one_plus(u: TruncatedSeries) -> TruncatedSeries:
+    """``ln(1 + u)`` for a series ``u`` with zero constant term."""
     if u.coeffs[0] != 0.0:
         raise ValueError("ln(1+u) requires a series with zero constant term")
-    terms = _nonzero(u.coeffs)
-    w = [0.0] * (u.order + 1)
-    for m in range(1, u.order + 1):
-        w[m] = u.coeffs[m] - _fsum([(m - j) / m * w[m - j] * c for j, c in terms if j < m])
-    return TruncatedSeries(w)
+    return TruncatedSeries(_ln_one_plus(u.coeffs))
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
@@ -178,16 +183,23 @@ def exp_series(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(e)
 
 
+def _sqrt(a: list[float] | tuple[float, ...]) -> list[float]:
+    """Coefficients of the square root of coefficients ``a`` with ``a[0] > 0``.
+
+    From ``s**2 = a``: ``s_m = (a_m - sum_{0<j<m} s_j s_{m-j}) / (2 s_0)``.
+    """
+    out = [math.sqrt(a[0])]
+    for m in range(1, len(a)):
+        cross = _fsum([out[j] * out[m - j] for j in range(1, m)])
+        out.append((a[m] - cross) / (2.0 * out[0]))
+    return out
+
+
 def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
     """Square root of a series with a positive constant term."""
-    c0 = a.coeffs[0]
-    if c0 <= 0.0:
+    if a.coeffs[0] <= 0.0:
         raise ValueError("sqrt needs a series with positive constant term")
-    out = [math.sqrt(c0)]
-    for m in range(1, a.order + 1):
-        cross = _fsum([out[j] * out[m - j] for j in range(1, m)])
-        out.append((a.coeffs[m] - cross) / (2.0 * out[0]))
-    return TruncatedSeries(out)
+    return TruncatedSeries(_sqrt(a.coeffs))
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:

@@ -671,6 +671,48 @@ def test_uncertainty_bound_validation():
     assert uncertainty_lower_bound(GupParams(-0.25), 1.99) > 0.0
 
 
+MOMENTUM_MAPS = {p_of_k: "k", k_of_p: "p", commutator_rhs: "p", uncertainty_lower_bound: "dp"}
+
+
+@pytest.mark.parametrize("alpha0", [0.36, -0.25, 0.0])
+@pytest.mark.parametrize(
+    "value", [1, True, np.float64(0.3), "0.25", -0.0], ids=["int", "bool", "float64", "str", "-0"]
+)
+def test_momentum_maps_take_what_float_takes(alpha0, value):
+    params = GupParams(alpha0)
+    for fn in MOMENTUM_MAPS:
+        if fn is uncertainty_lower_bound and not float(value) > 0.0:
+            continue
+        got = fn(params, value)
+        assert type(got) is float
+        assert got.hex() == fn(params, float(value)).hex()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ("nan", "nan"),
+     (np.float64("-inf"), "-inf")],
+)
+def test_momentum_maps_refuse_non_finite_arguments(value, text):
+    params = GupParams(0.36)
+    for fn, name in MOMENTUM_MAPS.items():
+        with pytest.raises(ValueError) as info:
+            fn(params, value)
+        assert str(info.value) == f"{name} must be finite, got {text}"
+
+
+@pytest.mark.parametrize(
+    "dp, text",
+    [(0.0, "0.0"), (-0.0, "-0.0"), ("-0.0", "-0.0"), (False, "0.0"), (-2, "-2.0"),
+     (-5e-324, "-5e-324")],
+)
+def test_uncertainty_bound_refuses_a_spread_that_is_not_positive(dp, text):
+    for alpha0 in (0.36, -0.25, 0.0):
+        with pytest.raises(ValueError) as info:
+            uncertainty_lower_bound(GupParams(alpha0), dp)
+        assert str(info.value) == f"the momentum spread must be positive, got {text}"
+
+
 def test_regime_summary_heisenberg():
     summary = regime_summary(GupParams(0.0))
     assert summary.regime == "heisenberg"

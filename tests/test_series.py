@@ -1,13 +1,16 @@
 """Truncated power-series arithmetic: ring axioms, known expansions, roundtrips."""
 
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entrogup import gup
+from entrogup.errors import NumericalError
 from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, deformation_pipeline, tsallis_coeffs
+from entrogup.maxent import AnsatzCoeffs
 from entrogup.series import (
     TruncatedSeries,
     arctan_series,
@@ -227,11 +230,12 @@ def test_values_match_math_functions():
 # --------------------------------------------------------------------------
 # the recurrences against an object-per-step reference
 #
-# ref_mul, ref_ln_one_plus and ref_exp_series build a TruncatedSeries after
-# every coefficient, so a non-finite one is refused where it appears.  The
-# reference functions keep the library's terms, their order within each fsum
-# and its zero skipping (a term whose second-operand coefficient is 0 is left
-# out), so results must be equal bit for bit, not approximately.
+# ref_mul, ref_ln_one_plus, ref_exp_series and ref_sqrt_series build a
+# TruncatedSeries after every coefficient, so a non-finite one is refused where
+# it appears.  The reference functions keep the library's terms, their order
+# within each fsum and its zero skipping (a term whose second-operand
+# coefficient is 0 is left out), so results must be equal bit for bit, not
+# approximately.
 
 
 def ref_fsum(terms):
@@ -274,6 +278,16 @@ def ref_exp_series(u):
                  for k in range(1, m + 1) if u.coeffs[k] != 0.0]
         e = TruncatedSeries(e.coeffs + (ref_fsum(terms) / m,))
     return e
+
+
+def ref_sqrt_series(a):
+    if a.coeffs[0] <= 0.0:
+        raise ValueError("sqrt needs a series with positive constant term")
+    s = TruncatedSeries((math.sqrt(a.coeffs[0]),))
+    for m in range(1, a.order + 1):
+        cross = ref_fsum([s.coeffs[j] * s.coeffs[m - j] for j in range(1, m)])
+        s = TruncatedSeries(s.coeffs + ((a.coeffs[m] - cross) / (2.0 * s.coeffs[0]),))
+    return s
 
 
 def ref_compose(outer, inner):
@@ -326,6 +340,15 @@ def test_exp_series_equals_reference(u):
     assert outcome(exp_series, u) == outcome(ref_exp_series, u)
 
 
+@given(series_of_order(1, 24))
+@settings(max_examples=300)
+def test_sqrt_series_equals_reference(a):
+    assert outcome(sqrt_series, a) == outcome(ref_sqrt_series, a)
+    # a positive constant term, so that the recurrence runs (and may overflow)
+    a = TruncatedSeries((abs(a.coeffs[0]) + 1.0, *a.coeffs[1:]))
+    assert outcome(sqrt_series, a) == outcome(ref_sqrt_series, a)
+
+
 @given(series_of_order(1, 24), series_of_order(1, 24, zero_constant=True))
 # 4.5e29 (7.2e27 x**2)**10 overflows at x**20 on the way to a x**40 term
 @example(TruncatedSeries((0.0,) * 20 + (4.4841532885046256e29,)),
@@ -342,11 +365,89 @@ def reference_pipeline(monkeypatch, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+# The pipeline's three stages as seven series, one after each step: the ln
+# input and result, H_eff, the root's input and result, the momentum and its
+# normalization.  The library builds only the three it reports, from the
+# list-level recurrences; its bits and messages must be these.
+
+
+def ref_hamiltonian(coeffs, order):
+    ln_w = ref_ln_one_plus(TruncatedSeries(rescaled_ansatz(coeffs, order // 2)))
+    h_k = [0.0] * (order + 1)
+    h_k[::2] = [0.0 - c for c in ln_w.coeffs]
+    h_k[2] += 0.5
+    return TruncatedSeries(h_k)
+
+
+def ref_momentum(h):
+    root = ref_sqrt_series(TruncatedSeries(tuple(2.0 * c for c in h.coeffs[2::2])))
+    p_k = [0.0] * h.order
+    p_k[1::2] = root.coeffs
+    return TruncatedSeries(p_k)
+
+
+def ref_normalize(p):
+    return TruncatedSeries(tuple(c / p.coeffs[1] for c in p.coeffs))
+
+
+def pipeline_bits(coeffs, order, reference=False):
+    """The bits of deformation_pipeline's report, or the type and message of
+    what it raised; with ``reference``, run on the reference stages."""
+    with pytest.MonkeyPatch.context() as patched:
+        if reference:
+            patched.setattr(gup, "effective_hamiltonian_series", ref_hamiltonian)
+            patched.setattr(gup, "effective_momentum_series", ref_momentum)
+            patched.setattr(gup, "normalize_momentum", ref_normalize)
+        try:
+            report = deformation_pipeline(coeffs, order=order)
+        except (ValueError, NumericalError) as exc:
+            return type(exc), str(exc)
+    series = (report.hamiltonian, report.momentum, report.momentum_normalized)
+    numbers = (report.alpha0_pipeline, report.alpha0_closed, report.discrepancy)
+    return [tuple(map(float.hex, s.coeffs)) for s in series] + list(map(float.hex, numbers))
+
+
 @pytest.mark.parametrize("coeffs", [REFERENCE_PLUS, REFERENCE_MINUS], ids=["plus", "minus"])
 @pytest.mark.parametrize("order", range(4, 17, 2))
-def test_pipeline_equals_reference(coeffs, order, monkeypatch):
-    expected = reference_pipeline(monkeypatch, deformation_pipeline, coeffs, order=order)
-    assert deformation_pipeline(coeffs, order=order) == expected
+def test_pipeline_equals_reference(coeffs, order):
+    assert pipeline_bits(coeffs, order) == pipeline_bits(coeffs, order, reference=True)
+
+
+# Degrees 1-8 at even orders 4-256, a1 of either sign, and higher coefficients
+# up to 1e9, large enough that the root's sums overflow on some draws.
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_pipeline_equals_reference_on_seeded_coefficients(degree):
+    rng = random.Random(degree)
+    served = 0
+    for i in range(24):
+        scale = 10.0 ** rng.uniform(-3.0, 9.0)
+        a1 = (-1.0) ** i * rng.uniform(0.0, 0.99)
+        coeffs = AnsatzCoeffs((1.0, a1, *(rng.uniform(-scale, scale) for _ in range(degree - 1))))
+        order = 2 * rng.randint(2, 128)
+        got = pipeline_bits(coeffs, order)
+        assert got == pipeline_bits(coeffs, order, reference=True)
+        served += isinstance(got, list)
+    # at degree 1, ln(1 + a1 y/2) with |a1| < 1 overflows at no order
+    assert (served == 24) if degree == 1 else (0 < served < 24)
+
+
+# The pipeline inputs of the console-script checks in CI: |alpha0| = 8.35e7
+# with a one-ulp discrepancy at order 8, and overflowing root sums at 256.
+@pytest.mark.parametrize(
+    "a, order, refusal",
+    [
+        ((1.0, 0.273, 80985000.0), 8, None),
+        ((1.0, 0.273, 80985000.0), 256, "series coefficients must be finite"),
+        ((1.0, 0.0, 0.0, -1e8), 256, "series coefficients must be finite"),
+    ],
+)
+def test_pipeline_equals_reference_on_the_ci_inputs(a, order, refusal):
+    got = pipeline_bits(AnsatzCoeffs(a), order)
+    assert got == pipeline_bits(AnsatzCoeffs(a), order, reference=True)
+    if refusal is None:
+        assert isinstance(got, list)
+    else:
+        assert got == (ValueError, refusal)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
