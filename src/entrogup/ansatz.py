@@ -62,9 +62,6 @@ class GenExpFit(Value):
 
     _fields = ("coeffs", "residual", "grid")
 
-    def __init__(self, coeffs: AnsatzCoeffs, residual: float, grid: str) -> None:
-        vars(self).update(coeffs=coeffs, residual=residual, grid=grid)
-
 
 # Reference coefficient sets for the two deformed statistics (plus kind bends
 # the momentum relation toward a cap, minus kind toward a minimal length).

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING
 
-from ._value import Value
+from ._value import Value, _integer
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -174,25 +173,18 @@ def _float_array(values) -> np.ndarray:
     then numpy converts the input.  numpy 1.25 to about 2.2 let ``float()``
     of a 1-element array pass with a DeprecationWarning where ``np.array``
     nests the array; under such a numpy (see :func:`_float_takes_arrays`)
-    the pack runs with warnings as errors, a filter that is process-wide
-    while it runs (~20 us at 2000 values).  A numpy whose ``float()``
-    refuses such an array needs no filter, and the pack sets none.
+    numpy converts every input, since the pack could only tell such an
+    entry by turning warnings into errors, a filter that is process-wide
+    while it runs.
     """
     import numpy as np
 
-    if type(values) in (list, tuple):
+    if type(values) in (list, tuple) and not _float_takes_arrays():
         import struct
 
         out = np.empty(len(values))
         try:
-            if _float_takes_arrays():
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    struct.pack_into(f"{out.size}d", out, 0, *values)
-            else:
-                struct.pack_into(f"{out.size}d", out, 0, *values)
+            struct.pack_into(f"{out.size}d", out, 0, *values)
         except Exception:  # a struct.error: numpy converts or refuses the input
             pass
         else:
@@ -204,7 +196,8 @@ def _float_array(values) -> np.ndarray:
 def _float_takes_arrays() -> bool:
     """Whether ``float()`` of a 1-element numpy array gives its value, with
     or without a warning, rather than raising ``TypeError``; tested once,
-    on the first pack, with warnings ignored for that one call."""
+    on the first list or tuple converted, with warnings ignored for that
+    one call."""
     import warnings
 
     import numpy as np
@@ -216,18 +209,6 @@ def _float_takes_arrays() -> bool:
     except TypeError:
         return False
     return True
-
-
-def _integer(value: int, name: str) -> int:
-    """``value`` as a Python int; a count such as ``name`` must be an integer."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    # a bool is an int to operator.index, but not a count
-    if count is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return count
 
 
 class ProbVector(Value):

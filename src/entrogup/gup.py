@@ -16,10 +16,9 @@ momentum cap ``1/sqrt(|alpha|)`` through the bounded relation
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
-from ._value import Value
+from ._value import Value, _integer
 
 # REFERENCE_* are imported only so that gup.REFERENCE_* resolves.
 from .ansatz import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
@@ -107,18 +106,6 @@ class RegimeSummary(Value):
 
     _fields = ("alpha", "regime", "minimal_length", "max_momentum")
 
-    def __init__(
-        self,
-        alpha: float,
-        regime: str,
-        minimal_length: float | None,
-        max_momentum: float | None,
-    ) -> None:
-        vars(self).update(
-            alpha=alpha, regime=regime, minimal_length=minimal_length,
-            max_momentum=max_momentum,
-        )
-
 
 class PipelineReport(Value):
     """Every stage of the coefficient-to-deformation pipeline."""
@@ -127,22 +114,6 @@ class PipelineReport(Value):
         "coeffs", "hamiltonian", "momentum", "momentum_normalized",
         "alpha0_pipeline", "alpha0_closed", "discrepancy",
     )
-
-    def __init__(
-        self,
-        coeffs: AnsatzCoeffs,
-        hamiltonian: TruncatedSeries,
-        momentum: TruncatedSeries,
-        momentum_normalized: TruncatedSeries,
-        alpha0_pipeline: float,
-        alpha0_closed: float,
-        discrepancy: float,
-    ) -> None:
-        vars(self).update(
-            coeffs=coeffs, hamiltonian=hamiltonian, momentum=momentum,
-            momentum_normalized=momentum_normalized, alpha0_pipeline=alpha0_pipeline,
-            alpha0_closed=alpha0_closed, discrepancy=discrepancy,
-        )
 
 
 def effective_hamiltonian_series(
@@ -156,7 +127,7 @@ def effective_hamiltonian_series(
     Every term is a power of ``y = k**2``, so the series is built in ``y`` to
     order ``order/2`` and then spread onto the even powers of ``k``.
     """
-    order = operator.index(order)
+    order = _integer(order, "order")
     if order < 4 or order % 2 != 0:
         raise ValueError(f"order must be an even integer >= 4, got {order}")
     if order > MAX_ORDER:
@@ -240,13 +211,7 @@ def deformation_pipeline(
             f"series pipeline and closed form disagree by {discrepancy:.3e}"
         )
     return PipelineReport(
-        coeffs=coeffs,
-        hamiltonian=hamiltonian,
-        momentum=momentum,
-        momentum_normalized=normalized,
-        alpha0_pipeline=alpha0,
-        alpha0_closed=closed,
-        discrepancy=discrepancy,
+        coeffs, hamiltonian, momentum, normalized, alpha0, closed, discrepancy
     )
 
 
@@ -258,7 +223,7 @@ def tsallis_coeffs(q: float, order: int = 4) -> AnsatzCoeffs:
     At ``q = 1`` every coefficient beyond ``a0`` vanishes.  ``order`` must lie
     in ``[2, MAX_ORDER]``.
     """
-    order = operator.index(order)
+    order = _integer(order, "order")
     if order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order}")
     if order > MAX_ORDER:

@@ -36,7 +36,7 @@ import operator
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._value import Value
+from ._value import Value, _integer
 
 # The coefficient values and files are numpy-free and live in ansatz; they
 # are re-exported here.
@@ -109,9 +109,6 @@ class MaxEntSolution(Value):
     """Root of an implicit maximum-entropy equation at a given ``x = beta*E``."""
 
     _fields = ("x", "p", "residual")
-
-    def __init__(self, x: float, p: float, residual: float) -> None:
-        vars(self).update(x=x, p=p, residual=residual)
 
 
 def _g(u, x, s: int, m, slope: bool = True):
@@ -220,12 +217,8 @@ def _table(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     c1 = slope * _STEP
     c1_next = np.append(c1[1:], 0.0)
     dr = np.diff(ratio, append=1.0)
-    c2 = 3.0 * dr
-    c2 -= 2.0 * c1
-    c2 -= c1_next
-    c3 = -2.0 * dr
-    c3 += c1
-    c3 += c1_next
+    c2 = 3.0 * dr - 2.0 * c1 - c1_next
+    c3 = -2.0 * dr + c1 + c1_next
     return ratio, c1, c2, c3
 
 
@@ -440,10 +433,7 @@ def fit_gen_exp(kind: str, degree: int, grid: Iterable[float]) -> GenExpFit:
     """
     if kind not in ("plus", "minus"):
         raise ValueError(f"fit kind must be 'plus' or 'minus', got {kind!r}")
-    try:
-        degree = operator.index(degree)
-    except TypeError:
-        raise ValueError(f"degree must be an integer, got {degree!r}") from None
+    degree = _integer(degree, "degree")
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     if not hasattr(grid, "ndim"):

@@ -22,9 +22,8 @@ meets ``inf - inf``, is refused as "series coefficients must be finite".
 from __future__ import annotations
 
 import math
-import operator
 
-from ._value import Value
+from ._value import Value, _integer
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -48,7 +47,7 @@ MAX_ORDER = 256
 
 def _check_order(order: int, lowest: int) -> int:
     """``order`` as an int, refused below ``lowest``."""
-    order = operator.index(order)
+    order = _integer(order, "series order")
     if order < lowest:
         raise ValueError(f"series order must be >= {lowest}, got {order}")
     return order

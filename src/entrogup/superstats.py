@@ -25,12 +25,11 @@ log-density, written in ``beta/beta0`` so that no two of its terms of size
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 import numpy as np
 
-from ._value import Value
+from ._value import Value, _integer
 from .errors import NumericalError
 
 __all__ = [
@@ -348,10 +347,7 @@ def boltzmann_series(params: GammaBetaParams, energy: float, order: int = 2) -> 
     truncated at the requested order in ``p`` (0, 1, or 2).  Useful for
     ``p * (beta0*E)**2`` well below one.
     """
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise ValueError(f"expansion order must be an integer, got {order!r}") from None
+    order = _integer(order, "expansion order")
     if order not in (0, 1, 2):
         raise ValueError(f"expansion order must be 0, 1, or 2, got {order!r}")
     if not (math.isfinite(energy) and energy >= 0.0):

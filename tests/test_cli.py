@@ -864,3 +864,34 @@ def test_errors_match_on_both_sides_of_the_float_route(capsys, tmp_path, argv, p
         assert (code, err) == (0, "")
     else:
         assert code in (2, 3) and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_grid_with_two_parts_is_refused():
+    with pytest.raises(ValueError) as info:
+        _parse_grid("0:1")
+    assert str(info.value) == (
+        "grid must be 'start:stop:count' with count in [1, 1048576], "
+        "or a single number, got '0:1'"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_fit_above_the_reference_degree_leaves_its_cells_empty(tmp_path, capsys, fmt):
+    # the reference sets stop at a4, so rows 5 and 6 have no reference or diff
+    code, out, _ = run(capsys, "fit", "--order", "6", "--coeffs", str(tmp_path / "c.txt"),
+                       "--format", fmt)
+    assert code == 0
+    lines = out.splitlines()
+    if fmt == "csv":
+        rows = [line.split(",") for line in lines[1:8]]
+        assert [row[0] for row in rows] == [str(j) for j in range(7)]
+        assert all(row[2] and row[3] for row in rows[:5])
+        assert [row[2:] for row in rows[5:]] == [["", ""], ["", ""]]
+    else:
+        header, rule, *rows = lines[:9]
+        assert header.split() == ["j", "fitted", "reference", "diff"]
+        assert [row.split()[0] for row in rows] == [str(j) for j in range(7)]
+        assert all(len(row.split()) == 4 for row in rows[:5])
+        # the empty cells are padded to the columns' width, not dropped
+        assert [len(row.split()) for row in rows[5:]] == [2, 2]
+        assert all(len(row) == len(rule) for row in rows)

@@ -417,7 +417,9 @@ def test_float_array_is_np_array(entry, n, container, layout, monkeypatch):
     assert conversion(entropy._float_array, values) == expected
 
 
-def test_float_array_packs_plain_numbers_without_numpy_discovery():
+def test_float_array_packs_plain_numbers_without_numpy_discovery(monkeypatch):
+    # the pack runs where float() refuses a 1-element array, as on numpy 2.3+
+    monkeypatch.setattr(entropy, "_float_takes_arrays", lambda: False)
     values = [0.5, 1, True, np.float64(0.25)] * 50
     with mock.patch.object(np, "array", wraps=np.array) as spy:
         out = entropy._float_array(values)
@@ -426,9 +428,21 @@ def test_float_array_packs_plain_numbers_without_numpy_discovery():
     assert entropy._float_array([]).shape == (0,)
 
 
+def test_float_array_leaves_lists_to_numpy_where_float_takes_arrays(monkeypatch):
+    # numpy 1.25-2.2: the pack could tell a 1-element array entry only under
+    # a process-wide warnings filter, so numpy converts every list
+    monkeypatch.setattr(entropy, "_float_takes_arrays", lambda: True)
+    values = [0.5, 1, True, np.float64(0.25)] * 50
+    with mock.patch("struct.pack_into") as pack, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = entropy._float_array(values)
+    assert not pack.called
+    assert out.tobytes() == np.array(values, dtype=float).tobytes()
+
+
 def test_float_array_refuses_a_deprecated_1_element_array_entry(monkeypatch):
     # numpy 1.25-2.2 convert such an entry with float() and a warning; the
-    # pack must not, or the distribution would pass as 1-D
+    # conversion must nest it, or the distribution would pass as 1-D
     monkeypatch.setattr(entropy, "_float_takes_arrays", lambda: True)
     probs = [OldNumpyArray(0.5), OldNumpyArray(0.5)] * (N + 1)
     assert entropy._float_array(probs).shape == (2 * N + 2, 1)
@@ -438,8 +452,8 @@ def test_float_array_refuses_a_deprecated_1_element_array_entry(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_float_array_leaves_other_threads_warnings_alone():
-    # where float() refuses a 1-element array, the pack sets no warnings
-    # filter, so a warning in another thread stays a warning while it runs
+    # the conversion sets no warnings filter on any numpy, so a warning in
+    # another thread stays a warning while it runs
     float_takes_arrays = True
     try:
         with warnings.catch_warnings():
@@ -448,8 +462,6 @@ def test_float_array_leaves_other_threads_warnings_alone():
     except TypeError:
         float_takes_arrays = False
     assert entropy._float_takes_arrays() is float_takes_arrays
-    if float_takes_arrays:
-        pytest.skip("this numpy's float() takes a 1-element array: the pack needs the filter")
     values = np.random.default_rng(5).random(2000).tolist()
     expected = np.array(values).tobytes()
     stop, raised, warned = threading.Event(), [], [0]

@@ -1227,3 +1227,46 @@ def test_load_rejects_non_numeric_values(tmp_path):
     )
     with pytest.raises(ValueError, match="a1"):
         load_coeffs(path)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("\nkind = plus\n\n  \ndegree = 1\na0 = 1.0\na1 = 0.5\n\n", encoding="utf-8")
+    assert load_coeffs(path).coeffs == AnsatzCoeffs((1.0, 0.5), kind="plus")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind = plus\ndegree = x\n", "degree must be an integer"),
+        ("kind = plus\ndegree = -1\n", "degree must be non-negative, got -1"),
+        ("kind = plus\ndegree = 0\na0 = 1.0\nresidual = x\n", "residual is not a number: 'x'"),
+        ("kind = tsallis(x)\ndegree = 0\na0 = 1.0\n", "bad tsallis q value: 'x'"),
+    ],
+    ids=["degree-x", "degree-negative", "residual-x", "tsallis-q-x"],
+)
+def test_load_refuses_bad_values(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_coeffs(path)
+
+
+@pytest.mark.parametrize(
+    "energies, message",
+    [(range(0), "need at least one energy level"), ([math.nan] * 65, "energies must be finite")],
+    ids=["empty-range", "nan-65"],
+)
+def test_distribution_array_route_refusals(energies, message):
+    # neither a short list of floats, so both take the array route
+    assert entropy._small_floats(energies) is None
+    for kind in ("plus", "minus", "boltzmann"):
+        with pytest.raises(ValueError, match=message):
+            maxent_distribution(energies, 1.0, kind)
+
+
+def test_fit_array_route_needs_enough_distinct_points():
+    with pytest.raises(ValueError, match="need at least 71 grid points, got 65"):
+        fit_gen_exp("plus", 70, np.linspace(0.0, 1.0, 65))
+    with pytest.raises(ValueError, match="need at least 5 distinct grid points"):
+        fit_gen_exp("plus", 4, np.zeros(65))

@@ -24,3 +24,10 @@ def test_exports_resolve_and_are_unchanged():
     assert set(entrogup.__all__) == EXPORTS
     for name in entrogup.__all__:
         assert getattr(entrogup, name) is not None
+
+
+def test_dir_lists_every_export_sorted():
+    names = dir(entrogup)
+    assert names == sorted(set(names))
+    assert EXPORTS <= set(names)
+    assert {"__getattr__", "__dir__", "errors"} <= set(names)

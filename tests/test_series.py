@@ -546,3 +546,12 @@ def test_exp_series_within_ulps_of_mpmath(q, order, bound):
 def test_overflowing_intermediates_are_refused(fn, args):
     with pytest.raises(ValueError, match="series coefficients must be finite"):
         fn(*args)
+
+
+def test_series_times_series_is_mul():
+    rng = random.Random(38)
+    for n, m in ((3, 3), (5, 2), (1, 6)):
+        a = TruncatedSeries([rng.uniform(-2.0, 2.0) for _ in range(n + 1)])
+        b = TruncatedSeries([rng.uniform(-2.0, 2.0) for _ in range(m + 1)])
+        assert a * b == mul(a, b) and (a * b).order == min(n, m)
+        assert b * a == mul(b, a)

@@ -448,3 +448,9 @@ def test_closed_form_monotone_decreasing_in_energy(p, beta0):
     values = [boltzmann_closed(params, e) for e in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] == 1.0
+
+
+@pytest.mark.parametrize("weight", [boltzmann_quadrature, boltzmann_series])
+def test_negative_energy_is_refused(weight):
+    with pytest.raises(ValueError, match=r"energy must be non-negative, got -1\b"):
+        weight(GammaBetaParams(0.2, 1.0), -1)

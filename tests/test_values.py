@@ -1,18 +1,33 @@
 """The package's value types: repr, equality, hashing, immutability, keyword
-construction, and copy and pickle round trips."""
+construction, and copy and pickle round trips; and the one integer check of
+every count, degree and order."""
 
 import copy
+import math
 import pickle
+import re
 
+import numpy as np
 import pytest
 
-from entrogup.ansatz import AnsatzCoeffs, GenExpFit
+from entrogup.ansatz import REFERENCE_PLUS, AnsatzCoeffs, GenExpFit
 from entrogup.cli import Report
-from entrogup.entropy import ProbVector
-from entrogup.gup import GupParams, PipelineReport, RegimeSummary
-from entrogup.maxent import MaxEntSolution
-from entrogup.series import TruncatedSeries
-from entrogup.superstats import GammaBetaParams
+from entrogup.entropy import (
+    ProbVector,
+    s_minus_equiprob_expansion,
+    s_plus_equiprob_expansion,
+)
+from entrogup.gup import (
+    GupParams,
+    PipelineReport,
+    RegimeSummary,
+    deformation_pipeline,
+    effective_hamiltonian_series,
+    tsallis_coeffs,
+)
+from entrogup.maxent import MaxEntSolution, fit_gen_exp
+from entrogup.series import TruncatedSeries, arctan_series, tan_series
+from entrogup.superstats import GammaBetaParams, boltzmann_series
 
 COEFFS = AnsatzCoeffs((1.0, 0.25), kind="plus")
 SERIES = TruncatedSeries((0.0, 0.5))
@@ -199,3 +214,73 @@ def test_fields_outside_equality():
 def test_defaults():
     assert AnsatzCoeffs((1.0,)) == AnsatzCoeffs((1.0,), "custom", None)
     assert GupParams(0.36) == GupParams(0.36, 1.0)
+
+
+# the records whose constructor only stores its fields, and their fields
+RECORDS = [
+    (MaxEntSolution, (1.0, 0.5, 1e-16)),
+    (GenExpFit, (COEFFS, 1e-9, "0:1:41")),
+    (RegimeSummary, (0.09, "minimal_length", 0.3, None)),
+    (PipelineReport, (COEFFS, SERIES, SERIES, SERIES, 0.5, 0.5, 0.0)),
+]
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_bind_their_fields_as_a_signature_would(cls, args):
+    assert "__init__" not in vars(cls)  # Record's constructor, not one of its own
+    fields = cls._fields
+    kwargs = dict(zip(fields, args))
+    value = cls(*args)
+    assert vars(value) == kwargs
+    # any split between positional and keyword arguments binds the same
+    for split in range(len(fields) + 1):
+        assert cls(*args[:split], **dict(zip(fields[split:], args[split:]))) == value
+    name = re.escape(f"{cls.__qualname__}()")
+    with pytest.raises(TypeError, match=rf"^{name} missing required arguments: {fields[-1]}$"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match=rf"missing required arguments: {', '.join(fields)}$"):
+        cls()
+    with pytest.raises(
+        TypeError, match=rf"takes {len(fields)} positional arguments but {len(fields) + 1}"
+    ):
+        cls(*args, None)
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 'extra'"):
+        cls(*args, extra=1.0)
+    with pytest.raises(TypeError, match=rf"multiple values for argument '{fields[0]}'"):
+        cls(*args, **{fields[0]: args[0]})
+
+
+def test_tsallis_coeffs_need_a_finite_q():
+    with pytest.raises(ValueError, match="q must be finite, got inf"):
+        AnsatzCoeffs((1.0,), "tsallis", math.inf)
+
+
+# every count, degree and order goes through _value._integer: (name in the
+# message, a valid value, a call taking it)
+GRID = np.linspace(0.0, 1.0, 31)
+INTEGER_ARGUMENTS = [
+    ("degree", 2, lambda n: fit_gen_exp("plus", n, GRID)),
+    ("expansion order", 2, lambda n: boltzmann_series(GammaBetaParams(0.2, 1.0), 2.0, n)),
+    ("series order", 2, lambda n: TruncatedSeries.constant(1.0, n)),
+    ("series order", 2, TruncatedSeries.variable),
+    ("series order", 2, lambda n: TruncatedSeries((1.0,) * 4).truncated(n)),
+    ("series order", 2, tan_series),
+    ("series order", 2, arctan_series),
+    ("order", 4, lambda n: effective_hamiltonian_series(REFERENCE_PLUS, n)),
+    ("order", 4, lambda n: deformation_pipeline(REFERENCE_PLUS, n)),
+    ("order", 2, lambda n: tsallis_coeffs(0.8, n)),
+    ("the number of states", 2, ProbVector.uniform),
+    ("the number of states", 2, lambda n: s_plus_equiprob_expansion(n, 2)),
+    ("the number of states", 2, lambda n: s_minus_equiprob_expansion(n, 2)),
+    ("nterms", 2, lambda n: s_plus_equiprob_expansion(4, n)),
+    ("nterms", 2, lambda n: s_minus_equiprob_expansion(4, n)),
+]
+
+
+@pytest.mark.parametrize("name, valid, call", INTEGER_ARGUMENTS)
+def test_counts_and_orders_take_integers_only(name, valid, call):
+    assert call(np.int64(valid)) == call(valid)
+    for bad in (2.0, True, np.float64(valid)):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
