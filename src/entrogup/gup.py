@@ -19,9 +19,7 @@ import math
 import sys
 
 from ._value import Value, _integer
-
-# REFERENCE_* are imported only so that gup.REFERENCE_* resolves.
-from .ansatz import REFERENCE_MINUS, REFERENCE_PLUS, AnsatzCoeffs
+from .ansatz import AnsatzCoeffs
 from .errors import NumericalError
 from .series import (
     DEFAULT_ORDER,

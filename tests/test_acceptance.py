@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from entrogup.ansatz import REFERENCE_MINUS, REFERENCE_PLUS
 from entrogup.cli import main
 from entrogup.entropy import ProbVector, s_minus, s_plus, shannon
 from entrogup.gup import (
     QEXP_PIPELINE_RATIO,
-    REFERENCE_MINUS,
-    REFERENCE_PLUS,
     GupParams,
     deformation_pipeline,
     k_of_p,

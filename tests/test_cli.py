@@ -222,6 +222,14 @@ def test_derive_agreement_bound_is_relative_above_one(q, capsys):
     assert "discrepancy = 0\n" in out
 
 
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_derive_q_not_finite_exits_2(q, capsys):
+    # tsallis_coeffs' own refusal, not the overflow message below
+    code, out, err = run(capsys, "derive", "--q", q)
+    assert (code, out) == (2, "")
+    assert err == f"error: q must be finite, got {q}\n"
+
+
 @pytest.mark.parametrize("q", ["1e8", "-1e8"])
 def test_derive_q_overflow_names_q_and_order(q, capsys):
     # a_j grows like |1-q|**j: order 64 runs, and at 256 tsallis_coeffs (built

@@ -12,11 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from entrogup import gup
+from entrogup.ansatz import REFERENCE_MINUS, REFERENCE_PLUS
 from entrogup.errors import NumericalError
 from entrogup.gup import (
     QEXP_PIPELINE_RATIO,
-    REFERENCE_MINUS,
-    REFERENCE_PLUS,
     GupParams,
     commutator_rhs,
     deformation_closed,

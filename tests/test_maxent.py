@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entrogup import cli, entropy, maxent
+from entrogup.ansatz import REFERENCE_MINUS, REFERENCE_PLUS
 from entrogup.errors import NumericalError
-from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, tsallis_coeffs
+from entrogup.gup import tsallis_coeffs
 from entrogup.maxent import (
     DEFAULT_FIT_GRID,
     AnsatzCoeffs,

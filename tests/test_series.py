@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entrogup import gup
+from entrogup.ansatz import REFERENCE_MINUS, REFERENCE_PLUS
 from entrogup.errors import NumericalError
-from entrogup.gup import REFERENCE_MINUS, REFERENCE_PLUS, deformation_pipeline, tsallis_coeffs
+from entrogup.gup import deformation_pipeline, tsallis_coeffs
 from entrogup.maxent import AnsatzCoeffs
 from entrogup.series import (
     TruncatedSeries,

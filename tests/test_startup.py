@@ -51,7 +51,7 @@ print(json.dumps({"loaded": loaded, "bound": bound, "star": sorted(star),
 """
 
 
-def python(args, cwd):
+def python(args, cwd, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -62,7 +62,7 @@ def python(args, cwd):
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -196,9 +196,11 @@ def test_entropy_loads_numpy_only_above_the_float_route(argv, numpy, tmp_path):
         (("maxent", "--grid", f"0:3:{_FLOAT_ROUTE_MAX}"), False),
         (("maxent", "--grid", f"0:3:{_FLOAT_ROUTE_MAX + 1}"), True),
         (("fit", "--grid", f"0:1:{_FLOAT_ROUTE_MAX}", "--coeffs", "c.txt"), False),
+        (("fit", "--grid", "0:1:41", "--coeffs", "c.txt"), False),
         (("fit", "--coeffs", "c.txt"), True),  # the default 301-point window
     ],
-    ids=["maxent", "maxent-energies", "maxent-grid-N", "maxent-grid-N+1", "fit-grid-N", "fit"],
+    ids=["maxent", "maxent-energies", "maxent-grid-N", "maxent-grid-N+1", "fit-grid-N",
+         "fit-grid-41", "fit"],
 )
 def test_maxent_and_fit_load_numpy_only_above_the_float_route(argv, numpy, tmp_path):
     # up to _FLOAT_ROUTE_MAX points the roots and the fit are Python floats
@@ -212,13 +214,15 @@ def test_maxent_and_fit_load_numpy_only_above_the_float_route(argv, numpy, tmp_p
     [
         (("boltzmann",), True),
         (("entropy",), False),
+        (("entropy", "--probs", "0.2,0.3,0.5"), False),
         (("maxent",), False),
         (("fit", "--grid", "0:1:41", "--coeffs", "c.txt"), False),
         (("fit", "--coeffs", "c.txt"), True),  # 301 points: numpy
         (("derive",), False),
         (("gup", "--alpha0", "0.36"), False),
     ],
-    ids=["boltzmann", "entropy", "maxent", "fit-grid-41", "fit", "derive", "gup"],
+    ids=["boltzmann", "entropy", "entropy-probs", "maxent", "fit-grid-41", "fit", "derive",
+         "gup"],
 )
 def test_no_command_loads_dataclasses(argv, inspect, tmp_path):
     # the value types are plain classes; dataclasses would import inspect
