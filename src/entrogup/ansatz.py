@@ -73,10 +73,15 @@ REFERENCE_MINUS = AnsatzCoeffs(
 )
 
 # Default fit window.  The coefficient sets are small-x representations: the
-# reference values match the Taylor slopes of the implicit solutions at x = 0.
-# Beyond x ~ 1 both solutions collapse onto exp(-x), and widening the window
-# drags a_1 far from its slope (minus kind: -0.47 on [0, 3] vs the -1/3 slope)
-# and can even flip the sign of a_2, so the default stays at [0, 1].
+# reference values lie near the Taylor coefficients of the implicit solutions
+# at x = 0 (a1, a2 = 0, 3/4 plus; -1/3, -95/162 minus).  A degree-4 fit on
+# this window does not reproduce them: its a2 is 0.572 (plus) and -0.504
+# (minus) against the references' 0.747 and -0.586, so its alpha0 reads
+# -0.435 / +0.314 against -0.561 / +0.361.  That gap is ROADMAP item 23: a
+# window inside the series' radius of convergence closes it.  Beyond x ~ 1
+# both solutions collapse onto exp(-x), and widening the window drags a_1
+# far from its slope (minus kind: -0.47 on [0, 3] vs the -1/3 slope) and can
+# even flip the sign of a_2.
 DEFAULT_FIT_GRID = "0:1:301"
 
 

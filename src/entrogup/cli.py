@@ -328,8 +328,10 @@ def _cmd_fit(args: argparse.Namespace) -> Report:
     return report
 
 
-def _add_regime(report: Report, regime) -> None:
-    """Add the regime and whichever of its two scales exists."""
+def _add_regime(report: Report, params, regime) -> None:
+    """Add ``m_pl``, ``alpha``, the regime and whichever of its two scales exists."""
+    report.add("m_pl", params.m_pl)
+    report.add("alpha", params.alpha)
     report.add("regime", regime.regime)
     if regime.minimal_length is not None:
         report.add("minimal_length", regime.minimal_length)
@@ -380,9 +382,7 @@ def _cmd_derive(args: argparse.Namespace) -> Report:
     report.add("alpha0_pipeline", result.alpha0_pipeline)
     report.add("alpha0_closed", result.alpha0_closed)
     report.add("discrepancy", result.discrepancy)
-    report.add("m_pl", params.m_pl)
-    report.add("alpha", params.alpha)
-    _add_regime(report, regime_summary(params))
+    _add_regime(report, params, regime_summary(params))
     if coeffs.kind == "tsallis":
         nominal = 1.0 - coeffs.q
         report.add("q", coeffs.q)
@@ -425,9 +425,7 @@ def _cmd_gup(args: argparse.Namespace) -> Report:
         )
     report = Report("gup", columns=["k", "p", "commutator", "dx_bound"], rows=rows)
     report.add("alpha0", params.alpha0)
-    report.add("m_pl", params.m_pl)
-    report.add("alpha", params.alpha)
-    _add_regime(report, regime)
+    _add_regime(report, params, regime)
     return report
 
 

@@ -229,14 +229,11 @@ class ProbVector(Value):
     _fields = ("probs",)
 
     def __init__(self, probs: tuple[float, ...]) -> None:
-        vars(self)["probs"] = probs
-        self.__post_init__()
+        self.__post_init__(probs)
 
     # The validation is a method of its own so that span tracers
-    # (perfbench/spans.py) can wrap it by name.  It takes the input that
-    # __init__ left under ``probs``, which the array route drops.
-    def __post_init__(self) -> None:
-        probs = vars(self).pop("probs")
+    # (perfbench/spans.py) can wrap it by name.
+    def __post_init__(self, probs) -> None:
         values = _small_floats(probs)
         if values is not None:
             if not values:
@@ -420,19 +417,13 @@ def renyi(dist: ProbVector, q: float) -> float:
     large q, it is ``(q ln p_max + ln sum((p/p_max)**q)) / (1 - q)``: the
     largest term of the scaled sum is 1, so it cannot underflow, and the
     first term is divided before it is added, so ``q ln p_max`` cannot
-    overflow either.  Above q = 1, ``sum(p**q) <= p_max**(q - 1) sum(p)``
-    picks the second form without summing ``_deficit`` where that bound is
-    below 1/2 by more than the ``_SUM_TOL`` by which ``sum(p)`` may exceed 1
-    (and the deficit's rounding), so the form is the one the deficit picks.
+    overflow either.
     """
     q = _check_q(q)
-    p_max = None
-    if q > 1.0:
-        p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
-    if p_max is None or p_max ** (q - 1.0) >= 0.5 - _SUM_TOL:
-        deficit = _deficit(dist, q)
-        if q < 1.0 or deficit <= 0.5:
-            return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
+    deficit = _deficit(dist, q)
+    if q < 1.0 or deficit <= 0.5:
+        return math.log1p(math.copysign(deficit, 1.0 - q)) / (1.0 - q) + 0.0
+    p_max = max(dist.probs) if dist._array is None else float(dist._array.max())
     scaled = _sum_terms(dist, lambda p, m: (p / p_max) ** q)
     return q / (1.0 - q) * math.log(p_max) + math.log(scaled) / (1.0 - q) + 0.0
 

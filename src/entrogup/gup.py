@@ -174,7 +174,9 @@ def deformation_closed(a1: float, a2: float) -> float:
         raise ValueError("coefficients must be finite")
     if a1 == 1.0:
         raise ValueError("a1 = 1 makes the momentum normalization singular")
-    return 3.0 * (a1 * a1 - 2.0 * a2) / (8.0 * (1.0 - a1))
+    # 3 (a1**2 - 2 a2) / (8 (1 - a1)) rescaled by powers of two, which keeps
+    # its bits wherever it is finite, so that 2 a2 cannot overflow
+    return 0.75 * (0.5 * a1 * a1 - a2) / (1.0 - a1)
 
 
 def deformation_pipeline(
@@ -295,18 +297,25 @@ def k_of_p(params: GupParams, p: float) -> float:
 
 
 def commutator_rhs(params: GupParams, p: float) -> float:
-    """Deformation factor ``1 + alpha p**2`` of the position-momentum commutator."""
+    """Deformation factor ``1 + alpha p**2`` of the position-momentum commutator.
+
+    Raises ``NumericalError`` where the factor passes the largest float.
+    """
     p = float(p)
     if not math.isfinite(p):
         raise _not_finite("p", p)
-    return 1.0 + params.alpha * p * p
+    value = 1.0 + params.alpha * p * p
+    if math.isinf(value):
+        raise NumericalError(f"1 + alpha p**2 overflows at p = {p!r}")
+    return value
 
 
 def uncertainty_lower_bound(params: GupParams, dp: float) -> float:
     """Lower bound ``(1 + alpha dp**2) / (2 dp)`` on the position uncertainty.
 
     Requires ``dp > 0``; for negative ``alpha`` also ``dp < 1/sqrt(|alpha|)``
-    so the bound stays positive.
+    so the bound stays positive.  Raises ``NumericalError`` where the bound
+    passes the largest float.
     """
     dp = float(dp)
     if not math.isfinite(dp):
@@ -319,7 +328,15 @@ def uncertainty_lower_bound(params: GupParams, dp: float) -> float:
             f"the momentum spread must stay below 1/sqrt(|alpha|) = "
             f"{1.0 / params._sqrt_alpha:g}, got {dp!r}"
         )
-    return (1.0 + a * dp * dp) / (2.0 * dp)
+    bound = (1.0 + a * dp * dp) / (2.0 * dp)
+    if not math.isfinite(bound):  # inf, or NaN where 2 dp overflows as well
+        if dp >= 1.0:
+            # only a dp**2 overflowed, and a > 0: 1/(2 dp) is 1/(a dp**2)
+            # < 2**-1023 times a dp / 2, far below half an ulp of it
+            bound = a * (0.5 * dp)
+        if math.isinf(bound):
+            raise NumericalError(f"the bound (1 + alpha dp**2)/(2 dp) overflows at dp = {dp!r}")
+    return bound
 
 
 def regime_summary(params: GupParams) -> RegimeSummary:

@@ -484,14 +484,18 @@ def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
     """The coefficients ``c`` that minimize ``|sum_j c_j columns[j] - rhs|``.
 
     Householder QR with ``math.fsum`` inner products, then back substitution.
-    Each column is first scaled by a power of two to a largest magnitude in
-    [1/2, 1), which changes no bit of the factorization but keeps its sums of
-    squares from underflowing.  The rank test is ``np.linalg.lstsq``'s, with
-    :func:`_rcond`, on the singular values of ``R``.
+    The design is first scaled by one power of two to a largest magnitude in
+    [1/2, 1), so that its largest squares neither overflow nor underflow.
+    Householder QR is exactly equivariant under power-of-two column scaling:
+    multiplying column j by ``2**e_j`` multiplies column j of ``R`` by
+    ``2**e_j``, divides ``c_j`` by it and moves no other bit, unless a
+    column's squares underflow, which leaves the design rank deficient
+    anyway.  The rank test is ``np.linalg.lstsq``'s, with :func:`_rcond`, on
+    the singular values of ``R``.
     """
     rows, width = len(rhs), len(columns)
-    scales = [math.frexp(max(map(abs, column)))[1] for column in columns]
-    a = [[math.ldexp(v, -e) for v in column] for column, e in zip(columns, scales)]
+    top = math.frexp(max(max(map(abs, column)) for column in columns))[1]
+    a = [[math.ldexp(v, -top) for v in column] for column in columns]
     b = list(rhs)
     for k in range(width):
         v = a[k][k:]
@@ -505,9 +509,7 @@ def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
             for i, t in enumerate(v, k):
                 column[i] -= f * t
         a[k][k:] = [-math.copysign(norm, v[0])] + [0.0] * (rows - k - 1)
-    # R unscaled, up to one common power of two
-    top = max(scales)
-    r = [[math.ldexp(t, e - top) for t in column[:width]] for column, e in zip(a, scales)]
+    r = [column[:width] for column in a]
     limit = _rcond(rows, width)
     # sigma_min <= min |R_kk| and sigma_max >= R's largest column norm: a
     # test that settles high-degree fits without the O(width**3) sweeps
@@ -520,7 +522,7 @@ def _lstsq(columns: list[list[float]], rhs: list[float]) -> list[float]:
     c = [0.0] * width
     for k in reversed(range(width)):
         c[k] = (b[k] - math.fsum(a[j][k] * c[j] for j in range(k + 1, width))) / a[k][k]
-    return [math.ldexp(v, -e) for v, e in zip(c, scales)]
+    return [math.ldexp(v, -top) for v in c]
 
 
 def _singular_values(columns: list[list[float]]) -> list[float]:

@@ -59,13 +59,12 @@ class TruncatedSeries(Value):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[float, ...]) -> None:
-        vars(self)["coeffs"] = coeffs
-        self.__post_init__()
+        self.__post_init__(coeffs)
 
     # The validation is a method of its own so that span tracers
     # (perfbench/spans.py) can wrap it by name.
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(float, self.coeffs))
+    def __post_init__(self, coeffs) -> None:
+        coeffs = tuple(map(float, coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         if not all(map(math.isfinite, coeffs)):

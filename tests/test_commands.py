@@ -89,6 +89,12 @@ ROWS = [
     # the square root's running sums overflow at order 256: refused, no traceback
     row("derive-overflow", "derive --coeffs overflow.txt --order 256", 2, "",
         "error: series coefficients must be finite\n"),
+    # 2 a2 would overflow in the closed form; 0.75 (a1**2/2 - a2)/(1 - a1) does not
+    row("derive-a2-1e308", "derive --coeffs big-a2.txt --order 4",
+        out=Line("alpha0_closed = -7.5e+307")),
+    # dx_bound = 1/(2 dp) passes the largest float: exit 3, no report
+    row("gup-bound-overflow", "gup --alpha0 0.36 --grid 1e-309", 3, "",
+        "error: the bound (1 + alpha dp**2)/(2 dp) overflows at dp = 1e-309\n"),
     # a coefficient file that repeats a key is malformed input
     row("derive-repeated-key", "derive --coeffs repeated.txt", 2, "",
         "error: repeated.txt: line 5 repeats the key 'a1'\n"),
@@ -135,6 +141,8 @@ def workdir(tmp_path_factory):
         assert proc.stderr == f"wrote coefficients to {argv[-1]}\n"
     (path / "overflow.txt").write_text(
         "kind = plus\ndegree = 3\na0 = 1.0\na1 = 0.0\na2 = 0.0\na3 = -1e8\n", encoding="utf-8")
+    (path / "big-a2.txt").write_text(
+        "kind = custom\ndegree = 2\na0 = 1.0\na1 = 0.0\na2 = 1e308\n", encoding="utf-8")
     (path / "repeated.txt").write_text(
         "kind = plus\ndegree = 1\na0 = 1.0\na1 = 0.5\na1 = 0.25\n", encoding="utf-8")
     return path

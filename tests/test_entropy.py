@@ -781,30 +781,14 @@ RENYI_Q = (0.5, 1.0 + 1e-7, 1.01, 1.3, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 100.0, 1e3
 
 @pytest.mark.parametrize("seed", range(48))
 def test_renyi_routes_from_p_max_as_the_deficit_does(seed):
-    # above q = 1, a p_max**(q - 1) below 1/2 (less _SUM_TOL) skips the
-    # deficit sum; the value keeps its bits at every q, and at the q where
-    # that bound crosses 1/2 (sum(p**q) itself, for the uniform inputs)
+    # the form is the one the summed deficit picks, bit for bit, at every q
+    # and around the q where p_max**(q - 1), which bounds sum(p**q) above
+    # q = 1, crosses 1/2 (where sum(p**q) itself does, for the uniform inputs)
     dist = seeded_distribution(seed)
     p_max = max(dist.probs)
     edge = 1.0 + math.log(0.5) / math.log(p_max) if p_max < 1.0 else 2.0
     for q in (*RENYI_Q, *(edge * (1.0 + k * 1e-6) for k in range(-3, 4))):
         assert renyi(dist, q) == renyi_by_deficit(dist, q), q
-
-
-def test_renyi_skips_the_deficit_where_p_max_bounds_the_sum():
-    calls = []
-    deficit = entropy._deficit
-
-    def counted(*args):
-        calls.append(args)
-        return deficit(*args)
-
-    with mock.patch.object(entropy, "_deficit", counted):
-        renyi(uniform(N), 2.0)  # p_max = 1/N
-        assert calls == []
-        renyi(uniform(2), 2.0)  # sum(p**2) = 1/2 exactly: the deficit decides
-        renyi(uniform(N), 0.5)  # below q = 1 the deficit is the entropy
-    assert len(calls) == 2
 
 
 @given(prob_vectors)

@@ -313,6 +313,13 @@ def test_closed_form_values():
         deformation_closed(float("nan"), 0.3)
 
 
+def test_closed_form_is_finite_where_alpha0_is():
+    # 2 a2 would overflow; alpha0 = -3 a2 / 4 does not, and the pipeline agrees
+    assert deformation_closed(0.0, 1e308) == -0.75 * 1e308
+    report = deformation_pipeline(AnsatzCoeffs((1.0, 0.0, 1e308)), order=4)
+    assert report.alpha0_closed == report.alpha0_pipeline == -0.75 * 1e308
+
+
 def test_pipeline_reproduces_published_values():
     plus = deformation_pipeline(REFERENCE_PLUS)
     minus = deformation_pipeline(REFERENCE_MINUS)
@@ -668,6 +675,24 @@ def test_uncertainty_bound_validation():
         uncertainty_lower_bound(GupParams(-0.25), 2.0)  # at the cap
     # just below the cap is fine
     assert uncertainty_lower_bound(GupParams(-0.25), 1.99) > 0.0
+
+
+def test_phenomenology_is_finite_or_refused_where_it_overflows():
+    # only alpha dp**2 overflows: the bound is alpha dp / 2, also where 2 dp does
+    assert uncertainty_lower_bound(GupParams(1.0), 1e200) == 0.5 * 1e200
+    assert uncertainty_lower_bound(GupParams(1e-300), 1e308) == 1e-300 * (0.5 * 1e308)
+    # the value itself passes the largest float: NumericalError naming the argument
+    for params, dp, text in ((GupParams(0.36), 1e-309, "1e-309"),
+                             (GupParams(1e300), 1e10, "10000000000.0")):
+        with pytest.raises(NumericalError) as info:
+            uncertainty_lower_bound(params, dp)
+        assert str(info.value) == (
+            f"the bound (1 + alpha dp**2)/(2 dp) overflows at dp = {text}"
+        )
+    for alpha0 in (1.0, -1.0):
+        with pytest.raises(NumericalError) as info:
+            commutator_rhs(GupParams(alpha0), 1e200)
+        assert str(info.value) == "1 + alpha p**2 overflows at p = 1e+200"
 
 
 MOMENTUM_MAPS = {p_of_k: "k", k_of_p: "p", commutator_rhs: "p", uncertainty_lower_bound: "dp"}

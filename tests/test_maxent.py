@@ -994,6 +994,39 @@ def test_fit_routes_agree_on_the_rank(window, degree, s):
         assert floats == arrays == "the fit design matrix is rank deficient on this grid"
 
 
+@pytest.mark.parametrize("seed", range(48))
+def test_lstsq_is_equivariant_under_power_of_two_column_scaling(seed):
+    # Householder QR in one common scale: multiplying each column by its own
+    # power of two divides its coefficient by that power and moves no other
+    # bit.  The rank test reads R, whose columns scale with the design's, so
+    # the powers stay within 2**12 of each other on designs conditioned far
+    # from the cutoff; every fourth design has fewer distinct points than
+    # columns and is refused at any scale.
+    rng = np.random.default_rng([11, seed])
+    degree = int(rng.integers(2, 7))
+    rows = int(rng.integers(degree + 1, 65))
+    points = degree - 1 if seed % 4 == 3 else rows
+    grid = rng.uniform(0.0, (1.0, 3.0, 10.0, 40.0)[seed % 4], points).tolist()
+    xs = sorted(grid * (rows // points) + grid[: rows % points])
+    columns = [[math.exp(-x) * x**j for x in xs] for j in range(1, degree + 1)]
+    rhs = rng.standard_normal(rows).tolist()
+    powers = rng.integers(-6, 7, degree).tolist()
+
+    def outcome(design):
+        try:
+            return maxent._lstsq(design, rhs)
+        except NumericalError as exc:
+            return str(exc)
+
+    plain = outcome(columns)
+    scaled = outcome([[math.ldexp(v, e) for v in column] for column, e in zip(columns, powers)])
+    if points < degree:
+        assert scaled == plain == "the fit design matrix is rank deficient on this grid"
+    else:
+        expected = [math.ldexp(c, -e) for c, e in zip(plain, powers)]
+        assert [c.hex() for c in scaled] == [c.hex() for c in expected]
+
+
 def test_fit_with_a_zero_column_is_rank_deficient_on_both_routes():
     # x**2 exp(-x) underflows to 0 at every point: a zero column
     grid = [0.0, 5e-324, 1e-323]
